@@ -635,12 +635,18 @@ let encoded_model m =
   Poisson_model.encode w m;
   Codec.contents w
 
-(* Old side: the per-jump runner ([step] in a loop).  New side: the
-   batched runner (bulk [decide_batch] draws applied through
+(* Old side: the per-jump chain, spelled out as a [step] loop here —
+   [Poisson_model.run_rounds] is itself the batched runner.  New side:
+   the batched runner (bulk [decide_batch] draws applied through
    [Dyngraph.churn_batch]).  Both sides run equal-seeded PDGR models, so
    after the measured runs the full checkpoint encodings — topology, both
    PRNG streams, clock, pending jump — must be byte-equal; anything less
    and the timings are meaningless. *)
+let step_jumps m k =
+  for _ = 1 to k do
+    Poisson_model.step m
+  done
+
 let measure_churn_batched ~seed ~scale =
   let jumps = batched_jumps scale in
   let mk () =
@@ -651,13 +657,11 @@ let measure_churn_batched ~seed ~scale =
   let old_m = mk () and new_m = mk () in
   (* Untimed warm-up, each side through its own path: the state-identity
      check below then covers the warm-up too. *)
-  Poisson_model.warm_up old_m;
-  Poisson_model.warm_up_batched new_m;
-  let batched_old_dt, batched_old_words =
-    timed_with_words (fun () -> Poisson_model.run_rounds old_m jumps)
-  in
+  step_jumps old_m (12 * batched_n);
+  Poisson_model.warm_up new_m;
+  let batched_old_dt, batched_old_words = timed_with_words (fun () -> step_jumps old_m jumps) in
   let batched_new_dt, batched_new_words =
-    timed_with_words (fun () -> Poisson_model.run_rounds_batched new_m jumps)
+    timed_with_words (fun () -> Poisson_model.run_rounds new_m jumps)
   in
   if encoded_model old_m <> encoded_model new_m then
     failwith "bench: batched and per-jump churn diverged (encodings differ)";
@@ -690,7 +694,7 @@ let measure_stream_stats ~seed ~scale =
       ~rng:(Prng.create (seed lxor 0x57a75))
       ~n:core_n ~d:batched_d ~regenerate:false ()
   in
-  Poisson_model.warm_up_batched m;
+  Poisson_model.warm_up m;
   let g = Poisson_model.graph m in
   let old_stats () =
     let s = Poisson_model.snapshot m in

@@ -23,7 +23,7 @@
    ([Flood.expand_informed_frontier]) against full-rescan hops.
 
    Part 5 (wall clock + GC): the XL-tier kernels — the batched churn
-   runner ([Poisson_model.run_rounds_batched]) against the per-jump
+   runner ([Poisson_model.run_rounds]) against the per-jump
    [step] loop, checked byte-identical through the checkpoint encoding,
    and the streaming snapshot statistics ([Stream_stats.collect])
    against the materialize-CSR-then-derive path, checked field-equal
@@ -71,7 +71,7 @@ let seed =
 let kernel_tests () =
   let n = 2000 and d = 8 in
   let m = Models.create ~rng:(Prng.create 9) Models.SDGR ~n ~d in
-  Models.warm_up m;
+  Models.warm_up_batch m;
   let graph = Models.graph m in
   let alive = Dyngraph.alive_ids graph in
   (* Seed informed sets of two sizes: a sparse one (the early rounds of a

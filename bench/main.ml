@@ -87,7 +87,7 @@ let run_experiments () =
 
 let make_model kind ~n ~d =
   let m = Models.create ~rng:(Prng.create 9) kind ~n ~d in
-  Models.warm_up m;
+  Models.warm_up_batch m;
   m
 
 (* One Test.make per experiment family: the dominating primitive. *)

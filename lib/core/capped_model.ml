@@ -92,12 +92,6 @@ let step t =
   let pending = Hashtbl.fold (fun id () acc -> id :: acc) t.deficient [] in
   List.iter (try_fill t) pending
 
-let advance_time t span =
-  let deadline = t.time +. span in
-  while t.time < deadline do
-    step t
-  done
-
 let warm_up t =
   for _ = 1 to 12 * t.n do
     step t
@@ -110,22 +104,11 @@ let snapshot t = Dyngraph.snapshot t.graph
 let newest t = Dyngraph.newest_alive t.graph
 
 let flood ?max_rounds t =
-  let default = int_of_float (8. *. log (float_of_int t.n)) + 60 in
-  let rec until_birth () =
-    let before = Dyngraph.alive_count t.graph in
-    step t;
-    if Dyngraph.alive_count t.graph <= before then until_birth ()
-  in
-  let first = ref true in
-  Flood.run_custom ?max_rounds ~graph:t.graph
-    ~step:(fun () ->
-      if !first then begin
-        first := false;
-        until_birth ()
-      end
-      else advance_time t 1.0)
-    ~newest:(fun () -> match newest t with Some id -> id | None -> -1)
-    ~default_max_rounds:default ()
+  Flood.run_unit_time ?max_rounds ~n:t.n ~graph:t.graph
+    ~step:(fun () -> step t)
+    ~time:(fun () -> t.time)
+    ~newest:(fun () -> newest t)
+    ()
 
 let max_in_degree t =
   let worst = ref 0 in

@@ -33,7 +33,6 @@ val graph : t -> Churnet_graph.Dyngraph.t
 val step : t -> unit
 (** One churn jump plus a repair pass over nodes with parked slots. *)
 
-val advance_time : t -> float -> unit
 val warm_up : t -> unit
 val time : t -> float
 val snapshot : t -> Churnet_graph.Snapshot.t

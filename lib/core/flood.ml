@@ -309,8 +309,7 @@ let sync_round ~graph ~step ~newest st =
          let dst_informed = bs_mem st.informed dst in
          if src_informed && not dst_informed then frontier_arm st.frontier src
          else if dst_informed && not src_informed then frontier_arm st.frontier dst));
-  step ();
-  Dyngraph.set_edge_hook graph prev_hook;
+  Fun.protect ~finally:(fun () -> Dyngraph.set_edge_hook graph prev_hook) step;
   prune_dead graph st.informed st.scratch;
   let alive = Dyngraph.alive_count graph in
   let inf = Bitset.cardinal st.informed in
@@ -330,13 +329,18 @@ let sync_round ~graph ~step ~newest st =
     st.extinction_round <- Some st.round
   end
 
-let run_custom ?max_rounds ~graph ~step ~newest ~default_max_rounds () =
-  let max_rounds = Option.value ~default:default_max_rounds max_rounds in
-  let st = sync_start ~max_rounds ~graph ~step ~newest in
+(* [start] plants the source (its last jump must be the source's birth);
+   [step] is one round of churn. *)
+let run_sync ~max_rounds ~graph ~start ~step ~newest =
+  let st = sync_start ~max_rounds ~graph ~step:start ~newest in
   while not (state_finished st) do
     sync_round ~graph ~step ~newest st
   done;
   finish_state st
+
+let run_custom ?max_rounds ~graph ~step ~newest ~default_max_rounds () =
+  let max_rounds = Option.value ~default:default_max_rounds max_rounds in
+  run_sync ~max_rounds ~graph ~start:step ~step ~newest
 
 let run_streaming ?max_rounds model =
   let n = Streaming_model.n model in
@@ -346,6 +350,29 @@ let run_streaming ?max_rounds model =
     ~newest:(fun () -> Streaming_model.newest model)
     ~default_max_rounds:(4 * n) ()
 
+(* Round bound of the unit-time floods over Poisson churn: the paper's
+   O(log n) flooding time with room to spare. *)
+let unit_time_max_rounds n = int_of_float (8. *. log (float_of_int n)) + 60
+
+let run_unit_time ?max_rounds ~n ~graph ~step ~time ~newest () =
+  let max_rounds = Option.value ~default:(unit_time_max_rounds n) max_rounds in
+  (* The source is the next newborn: execute jumps until a birth. *)
+  let rec until_birth () =
+    let before = Dyngraph.alive_count graph in
+    step ();
+    if Dyngraph.alive_count graph <= before then until_birth ()
+  in
+  (* One round: execute jumps until the clock has moved a full unit (the
+     crossing jump is part of the round). *)
+  let one_unit () =
+    let deadline = time () +. 1.0 in
+    while time () < deadline do
+      step ()
+    done
+  in
+  run_sync ~max_rounds ~graph ~start:until_birth ~step:one_unit
+    ~newest:(fun () -> match newest () with Some id -> id | None -> -1)
+
 (* Candidate edges recorded at the start of a unit interval are
    flat-encoded as 4 consecutive ints in a scratch vector:
    [owner]'s out-slot [slot] pointed at [other]; the uninformed endpoint
@@ -354,18 +381,9 @@ let run_streaming ?max_rounds model =
    survived. *)
 
 let poisson_start ~max_rounds model =
-  let graph = Poisson_model.graph model in
-  (* Flood from the next newborn: advance jumps until a birth occurs. *)
-  let rec until_birth () =
-    let before = Dyngraph.alive_count graph in
-    Poisson_model.step model;
-    if Dyngraph.alive_count graph <= before then until_birth ()
-  in
-  until_birth ();
-  let source =
-    match Poisson_model.newest model with Some s -> s | None -> assert false
-  in
-  make_state ~max_rounds ~source ~population:(Dyngraph.alive_count graph)
+  let source = Poisson_model.step_until_birth model in
+  make_state ~max_rounds ~source
+    ~population:(Dyngraph.alive_count (Poisson_model.graph model))
 
 let poisson_round model st =
   let graph = Poisson_model.graph model in
@@ -438,11 +456,8 @@ let poisson_round model st =
   end
 
 let run_poisson_discretized ?max_rounds model =
-  let n = Poisson_model.n model in
   let max_rounds =
-    Option.value
-      ~default:(int_of_float (8. *. log (float_of_int n)) + 60)
-      max_rounds
+    Option.value ~default:(unit_time_max_rounds (Poisson_model.n model)) max_rounds
   in
   let st = poisson_start ~max_rounds model in
   while not (state_finished st) do
@@ -466,15 +481,7 @@ module Async = struct
       Option.value ~default:((8. *. log (float_of_int n)) +. 50.) max_time
     in
     let graph = Poisson_model.graph model in
-    let rec until_birth () =
-      let before = Dyngraph.alive_count graph in
-      Poisson_model.step model;
-      if Dyngraph.alive_count graph <= before then until_birth ()
-    in
-    until_birth ();
-    let source =
-      match Poisson_model.newest model with Some s -> s | None -> assert false
-    in
+    let source = Poisson_model.step_until_birth model in
     let t0 = Poisson_model.time model in
     let deadline = t0 +. max_time in
     let informed : (int, float) Hashtbl.t = Hashtbl.create 1024 in
@@ -489,11 +496,19 @@ module Async = struct
               Churnet_util.Heap.push deliveries (at +. 1.) v)
       end
     in
+    (* The hooks below chain to whatever observer (e.g. an event recorder)
+       was installed before the run, and hand the graph back to it on exit,
+       normal or not. *)
+    let prev_edge_hook = Dyngraph.edge_hook graph in
+    let prev_death_hook = Dyngraph.death_hook graph in
     (* New edges towards informed nodes trigger a delivery one unit later
-       (Definition 4.2: neighbor at instant t => informed at t + 1). *)
+       (Definition 4.2: neighbor at instant t => informed at t + 1).  The
+       hook reads the model clock, hence the per-jump [Poisson_model.step]
+       below. *)
     Dyngraph.set_edge_hook graph
       (Some
          (fun ~src ~dst ->
+           (match prev_edge_hook with None -> () | Some f -> f ~src ~dst);
            let now = Poisson_model.time model in
            let src_informed = Hashtbl.mem informed src in
            let dst_informed = Hashtbl.mem informed dst in
@@ -505,14 +520,16 @@ module Async = struct
        nodes that are still alive; the death hook keeps it current. *)
     let informed_alive = ref 0 in
     Dyngraph.set_death_hook graph
-      (Some (fun id -> if Hashtbl.mem informed id then decr informed_alive));
+      (Some
+         (fun id ->
+           (match prev_death_hook with None -> () | Some f -> f id);
+           if Hashtbl.mem informed id then decr informed_alive));
     let inform id at =
       if (not (Hashtbl.mem informed id)) && Dyngraph.is_alive graph id then begin
         inform id at;
         incr informed_alive
       end
     in
-    inform source t0;
     let events = ref 0 in
     let completed = ref false in
     let completion_time = ref None in
@@ -523,47 +540,51 @@ module Async = struct
        not with the model clock: when a delivery completes the flood the
        model clock still reads the previous jump. *)
     let last_event_time = ref t0 in
-    while not !stop do
-      let next_jump = Poisson_model.next_jump_time model in
-      let next_delivery = Churnet_util.Heap.peek deliveries in
-      let now_candidate =
-        match next_delivery with
-        | Some (td, _) when td <= next_jump -> `Delivery td
-        | _ -> `Jump next_jump
-      in
-      (match now_candidate with
-      | `Delivery td ->
-          (* Deliveries past the deadline are outside the observation
-             window, exactly like jumps past the deadline. *)
-          if td > deadline then stop := true
-          else begin
-            (match Churnet_util.Heap.pop deliveries with
-            | Some (td, v) -> inform v td
-            | None -> ());
-            last_event_time := td
+    let flood () =
+      inform source t0;
+      while not !stop do
+        let next_jump = Poisson_model.next_jump_time model in
+        let next_delivery = Churnet_util.Heap.peek deliveries in
+        let now_candidate =
+          match next_delivery with
+          | Some (td, _) when td <= next_jump -> `Delivery td
+          | _ -> `Jump next_jump
+        in
+        (match now_candidate with
+        | `Delivery td ->
+            (* Deliveries past the deadline are outside the observation
+               window, exactly like jumps past the deadline. *)
+            if td > deadline then stop := true
+            else begin
+              (match Churnet_util.Heap.pop deliveries with
+              | Some (td, v) -> inform v td
+              | None -> ());
+              last_event_time := td
+            end
+        | `Jump tj ->
+            if tj > deadline then stop := true
+            else begin
+              Poisson_model.step model;
+              incr events;
+              last_event_time := Poisson_model.time model
+            end);
+        if not !stop then begin
+          if !informed_alive = Dyngraph.alive_count graph && !informed_alive > 0 then begin
+            completed := true;
+            completion_time := Some (!last_event_time -. t0);
+            stop := true
           end
-      | `Jump tj ->
-          if tj > deadline then stop := true
-          else begin
-            Poisson_model.step model;
-            incr events;
-            last_event_time := Poisson_model.time model
-          end);
-      if not !stop then begin
-        if !informed_alive = Dyngraph.alive_count graph && !informed_alive > 0 then begin
-          completed := true;
-          completion_time := Some (!last_event_time -. t0);
-          stop := true
+          else if !informed_alive = 0 && Churnet_util.Heap.is_empty deliveries then begin
+            (* Extinction: no informed node alive and nothing pending. *)
+            extinct := true;
+            stop := true
+          end
         end
-        else if !informed_alive = 0 && Churnet_util.Heap.is_empty deliveries then begin
-          (* Extinction: no informed node alive and nothing pending. *)
-          extinct := true;
-          stop := true
-        end
-      end
-    done;
-    Dyngraph.set_edge_hook graph None;
-    Dyngraph.set_death_hook graph None;
+      done
+    in
+    Fun.protect flood ~finally:(fun () ->
+        Dyngraph.set_edge_hook graph prev_edge_hook;
+        Dyngraph.set_death_hook graph prev_death_hook);
     let alive = Dyngraph.alive_count graph in
     let informed_alive = ref 0 in
     (* lint: allow no-hashtbl-order — pure count over entries; addition

@@ -116,13 +116,13 @@ val sync_round :
 (** One synchronous flooding round (Definition 3.3): adaptive expand
     ({!expand_informed_auto}), churn, prune, log, then test
     completion/extinction.  During [step] the graph's edge hook is
-    temporarily chained (and restored after) to keep the frontier
-    invariant of {!expand_informed_frontier}; the result is
-    byte-identical to a full rescan per hop, only faster. *)
+    temporarily chained (and restored after, also when [step] raises) to
+    keep the frontier invariant of {!expand_informed_frontier}; the
+    result is byte-identical to a full rescan per hop, only faster. *)
 
 val poisson_start : max_rounds:int -> Poisson_model.t -> state
-(** Advance churn until a birth occurs, inform that newborn, and return
-    the initial state. *)
+(** Advance churn until a birth occurs ({!Poisson_model.step_until_birth}),
+    inform that newborn, and return the initial state. *)
 
 val poisson_round : Poisson_model.t -> state -> unit
 (** One discretized flooding round (Definition 4.3) over a unit interval
@@ -141,8 +141,29 @@ val run_custom :
   trace
 (** Synchronous flooding (Definition 3.3 semantics) over any round-based
     dynamic graph: [step] advances one churn round, [newest] names the
-    node born in the latest round.  Used by {!run_streaming} and by the
-    protocol baselines in [churnet_p2p]. *)
+    node born in the latest round.  Used by {!run_streaming}, by
+    round-based extension models and by the streaming protocol baselines
+    in [churnet_p2p]. *)
+
+val run_unit_time :
+  ?max_rounds:int ->
+  n:int ->
+  graph:Churnet_graph.Dyngraph.t ->
+  step:(unit -> unit) ->
+  time:(unit -> float) ->
+  newest:(unit -> Churnet_graph.Dyngraph.node_id option) ->
+  unit ->
+  trace
+(** Synchronous flooding (Definition 3.3 semantics) with one round per
+    unit of continuous time, over a Poisson-churn model driven one jump
+    at a time: [step] executes one jump, [time] reads the model clock,
+    [newest] names the youngest alive node.  The source is the next
+    newborn; each later round executes jumps until the clock has moved at
+    least one unit past the round's start (the crossing jump belongs to
+    the round).  [max_rounds] defaults to [8 ln n + 60], the bound of
+    {!run_poisson_discretized}.  The one sync flood driver for the
+    Poisson-churn extension models ({!Capped_model}, {!Lazy_regen_model})
+    and [churnet_p2p]'s Bitcoin-like overlay. *)
 
 val run_streaming : ?max_rounds:int -> Streaming_model.t -> trace
 (** Inserts the source with the next round's newborn and floods until
@@ -173,5 +194,10 @@ module Async : sig
       Stops at full coverage of the alive set, at extinction (no informed
       node alive and no pending delivery), or after [max_time] time units
       (default [8 * log n + 50]).  No event past the deadline — delivery
-      or churn jump — is processed. *)
+      or churn jump — is processed.
+
+      The run chains the graph's edge and death hooks to any observer
+      already installed (e.g. an {!Churnet_graph.Event_log} recorder) and
+      restores them on exit, also when the run raises; that observer
+      keeps recording throughout. *)
 end

@@ -103,22 +103,11 @@ let snapshot t = Dyngraph.snapshot t.graph
 let newest t = Dyngraph.newest_alive t.graph
 
 let flood ?max_rounds t =
-  let default = int_of_float (8. *. log (float_of_int t.n)) + 60 in
-  let rec until_birth () =
-    let before = Dyngraph.alive_count t.graph in
-    step t;
-    if Dyngraph.alive_count t.graph <= before then until_birth ()
-  in
-  let first = ref true in
-  Flood.run_custom ?max_rounds ~graph:t.graph
-    ~step:(fun () ->
-      if !first then begin
-        first := false;
-        until_birth ()
-      end
-      else advance_time t 1.0)
-    ~newest:(fun () -> match newest t with Some id -> id | None -> -1)
-    ~default_max_rounds:default ()
+  Flood.run_unit_time ?max_rounds ~n:t.n ~graph:t.graph
+    ~step:(fun () -> step t)
+    ~time:(fun () -> t.time)
+    ~newest:(fun () -> newest t)
+    ()
 
 let broken_slots t =
   let acc = ref 0 in

@@ -30,24 +30,19 @@ val kind : t -> kind
 val n : t -> int
 val d : t -> int
 val graph : t -> Churnet_graph.Dyngraph.t
-val warm_up : t -> unit
 val snapshot : t -> Churnet_graph.Snapshot.t
 
 val advance : t -> int -> unit
 (** Advance churn: [k] rounds for streaming models, [k] time units for
     Poisson models (so one unit of [advance] is one expected birth in
-    both time scales, matching the paper's normalization lambda = 1). *)
-
-val advance_batch : t -> int -> unit
-(** Same contract — and byte-identical resulting state — as {!advance},
-    but Poisson models take the batched hot path
-    ({!Poisson_model.run_until_time_batched}): a whole run of jumps is
-    pre-drawn from the churn PRNG and applied in one arena pass.
-    Streaming models already advance round-at-a-time and are unchanged.
-    Preferred at XL scale. *)
+    both time scales, matching the paper's normalization lambda = 1).
+    Poisson models take the bulk path ({!Poisson_model.run_until_time}). *)
 
 val warm_up_batch : t -> unit
-(** {!warm_up} through the batched path (byte-identical final state). *)
+(** Warm the model up to stationarity ({!Streaming_model.warm_up},
+    {!Poisson_model.warm_up}).  The [_batch] suffix is historical: it is
+    the only warm-up, and the name stays until the benchmark harness that
+    calls it can be renamed along with it. *)
 
 val flood : ?max_rounds:int -> t -> Flood.trace
 (** Flooding in the model's native semantics: synchronous (Def 3.3) for

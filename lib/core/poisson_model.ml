@@ -72,22 +72,18 @@ let next_jump_time t =
   let _, dt = draw_pending t in
   t.time +. dt
 
-let run_rounds t k =
-  for _ = 1 to k do
-    step t
-  done
-
-let run_until_time t deadline =
-  let continue = ref true in
-  while !continue do
-    let ((_, dt) as pending) = draw_pending t in
-    if t.time +. dt > deadline then continue := false else execute t pending
-  done
-
-let warm_up t = run_rounds t (12 * t.n)
+(* Flood sources are the next newborn: execute jumps one at a time until
+   a birth, which leaves the newborn as the youngest alive node. *)
+let rec step_until_birth t =
+  let ((decision, _) as p) = draw_pending t in
+  execute t p;
+  match decision with
+  | Poisson_churn.Death -> step_until_birth t
+  | Poisson_churn.Birth -> (
+      match Dyngraph.newest_alive t.graph with Some id -> id | None -> assert false)
 
 (* ------------------------------------------------------------------ *)
-(* Batched runners                                                     *)
+(* Bulk runners                                                        *)
 (* ------------------------------------------------------------------ *)
 
 (* The churn PRNG and the graph PRNG are independent streams (split at
@@ -97,10 +93,10 @@ let warm_up t = run_rounds t (12 * t.n)
    ([Dyngraph.churn_batch]).  Both streams see exactly the draw sequence
    of the per-jump interleave, [t.time] accumulates the same dts by the
    same additions in the same order, and a run ends with the deadline-
-   crossing jump pending exactly as [run_until_time] leaves it — so the
-   batched and per-jump paths produce byte-identical encoded models (a
-   differential test asserts this).  What batching buys is constant
-   factor: no per-jump pending option, no per-call dispatch, and
+   crossing jump pending exactly as a [step] loop would leave it — so the
+   bulk runners and a loop of [step]s produce byte-identical encoded
+   models (a differential test asserts this).  What batching buys is
+   constant factor: no per-jump pending option, no per-call dispatch, and
    [Dyngraph.churn_batch]'s cheaper birth path. *)
 
 (* One drawn-and-applied batch.  Preconditions: [t.pending = None] and
@@ -124,7 +120,7 @@ let run_batch t ~deadline ~limit =
   t.pending <- pending;
   count
 
-let run_until_time_batched t deadline =
+let run_until_time t deadline =
   let blocked =
     match t.pending with
     | None -> false
@@ -143,7 +139,7 @@ let run_until_time_batched t deadline =
     done
   end
 
-let run_rounds_batched t k =
+let run_rounds t k =
   let remaining = ref k in
   (* A pre-drawn pending jump is the next jump of the chain: executing it
      counts towards [k], exactly as [step] would. *)
@@ -157,7 +153,7 @@ let run_rounds_batched t k =
     remaining := !remaining - count
   done
 
-let warm_up_batched t = run_rounds_batched t (12 * t.n)
+let warm_up t = run_rounds t (12 * t.n)
 
 (* Ids are monotone with birth, so the youngest alive node — the arena's
    birth-list tail — is exactly the most recent surviving newborn.  This

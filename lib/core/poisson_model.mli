@@ -38,33 +38,39 @@ val next_jump_time : t -> float
     Used by the asynchronous flooding simulator to interleave message
     deliveries with churn on the real line. *)
 
+val step_until_birth : t -> Churnet_graph.Dyngraph.node_id
+(** Execute jumps one at a time up to and including the next birth, and
+    return the newborn (the source of every flood from the next
+    newborn). *)
+
+(** {1 Bulk advance}
+
+    The runners below are the one bulk advance path.  Jumps are pre-drawn
+    in batches from the churn PRNG ([Poisson_churn.decide_batch]) and
+    applied through a single arena pass ([Dyngraph.churn_batch]).  The
+    resulting state, PRNG streams and pending jump included, is
+    byte-identical to a loop of {!step}s (a differential test holds them
+    to that).
+
+    One difference is observable: {!Churnet_graph.Dyngraph} hooks fire
+    while a batch is applied, when the model's {!round} already counts
+    the whole batch and its {!time} has not yet reached the jump that
+    fires them.  A hook that reads [time] or [round] (as the asynchronous
+    flooding simulator's does) must drive the model with {!step}. *)
+
 val run_rounds : t -> int -> unit
+(** Execute exactly [k] jumps (a pre-drawn pending jump counts as the
+    first). *)
 
 val run_until_time : t -> float -> unit
 (** Execute jumps until continuous time reaches the given absolute value.
-    The jump that crosses the deadline is {e not} executed (the clock
-    advances past it on the next [step]). *)
+    The jump that crosses the deadline is {e not} executed: it stays
+    pending, and the clock advances past it on the next [step]. *)
 
 val warm_up : t -> unit
 (** Run [12 n] jumps: the population reaches its stationary band
     (Lemma 4.4 needs t >= 3n) and the age distribution mixes (about six
     mean lifetimes). *)
-
-val run_until_time_batched : t -> float -> unit
-(** Same contract — and byte-identical resulting state, PRNG streams
-    included — as {!run_until_time}, but jumps are pre-drawn in bulk from
-    the churn PRNG ([Poisson_churn.decide_batch]) and applied through a
-    single arena pass ([Dyngraph.churn_batch]).  The two PRNG streams are
-    independent by construction, which is what makes the reordering
-    invisible.  Several times faster at large [n]; preferred for the XL
-    tier. *)
-
-val run_rounds_batched : t -> int -> unit
-(** Batched {!run_rounds}: executes exactly [k] jumps (a pre-drawn
-    pending jump counts as the first), byte-identical final state. *)
-
-val warm_up_batched : t -> unit
-(** {!warm_up} through the batched path. *)
 
 val newest : t -> Churnet_graph.Dyngraph.node_id option
 (** The most recently born alive node, if any. *)

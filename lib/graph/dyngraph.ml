@@ -89,6 +89,7 @@ let regenerate t = t.regenerate
 let set_edge_hook t hook = t.edge_hook <- hook
 let edge_hook t = t.edge_hook
 let set_death_hook t hook = t.death_hook <- hook
+let death_hook t = t.death_hook
 let set_birth_hook t hook = t.birth_hook <- hook
 let alive_count t = t.alive_len
 

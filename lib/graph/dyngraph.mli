@@ -46,6 +46,10 @@ val set_death_hook : t -> (node_id -> unit) option -> unit
     edge is removed.  Lets observers (e.g. the flooding simulators)
     maintain exact informed/alive counters in O(1). *)
 
+val death_hook : t -> (node_id -> unit) option
+(** The currently installed death hook, to chain to and restore, as with
+    {!edge_hook}. *)
+
 val add_node : t -> birth:int -> node_id
 (** Birth: allocate a node stamped [birth] and create its [d] connection
     requests among the currently alive nodes (excluding itself; with

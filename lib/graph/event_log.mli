@@ -11,9 +11,10 @@
     rule 2), so the alive-edge set at any instant is exactly the set of
     logged edges whose endpoints are both still alive.
 
-    Note: attaching claims the graph's birth/edge/death hooks, so do not
-    log a run while the asynchronous flooding simulator (which also uses
-    the hooks) is active. *)
+    Note: attaching claims the graph's birth/edge/death hooks, replacing
+    whatever is installed.  The flooding drivers chain to an installed
+    recorder and restore it when they finish, so attach the log before a
+    flood starts, not while one is running. *)
 
 type event =
   | Birth of { id : int; birth : int; targets : int array }

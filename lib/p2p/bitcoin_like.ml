@@ -20,7 +20,6 @@ type t = {
   peers : (int, peer_state) Hashtbl.t;
   deficient : (int, unit) Hashtbl.t; (* nodes below target out-degree *)
   mutable time : float;
-  mutable newest : int;
 }
 
 let create ~rng ?(target_out = 8) ?(max_in = 125) ?(table_size = 64) ?(seed_size = 16)
@@ -40,7 +39,6 @@ let create ~rng ?(target_out = 8) ?(max_in = 125) ?(table_size = 64) ?(seed_size
     peers = Hashtbl.create 1024;
     deficient = Hashtbl.create 256;
     time = 0.;
-    newest = -1;
   }
 
 let n t = t.n
@@ -122,8 +120,7 @@ let birth t =
     let cand = Dyngraph.random_alive t.graph in
     if cand <> id then table_insert t peer cand
   done;
-  Hashtbl.replace t.deficient id ();
-  t.newest <- id
+  Hashtbl.replace t.deficient id ()
 
 let death t =
   let victim = Dyngraph.random_alive t.graph in
@@ -133,8 +130,7 @@ let death t =
   Hashtbl.remove t.peers victim;
   Hashtbl.remove t.deficient victim;
   List.iter (fun u -> if Dyngraph.is_alive t.graph u then Hashtbl.replace t.deficient u ())
-    orphans;
-  if victim = t.newest then t.newest <- -1
+    orphans
 
 let maintenance t =
   let pending = Hashtbl.fold (fun id () acc -> id :: acc) t.deficient [] in
@@ -151,13 +147,6 @@ let step t =
   | Poisson_churn.Death -> death t);
   maintenance t
 
-let advance_time t span =
-  let deadline = t.time +. span in
-  (* Conservative: execute jumps until the clock passes the deadline. *)
-  while t.time < deadline do
-    step t
-  done
-
 let warm_up t =
   for _ = 1 to 12 * t.n do
     step t
@@ -165,33 +154,16 @@ let warm_up t =
 
 let snapshot t = Dyngraph.snapshot t.graph
 
-let newest t =
-  if t.newest >= 0 && Dyngraph.is_alive t.graph t.newest then Some t.newest
-  else begin
-    let best = ref (-1) in
-    Dyngraph.iter_alive t.graph (fun id -> if id > !best then best := id);
-    if !best >= 0 then Some !best else None
-  end
+(* Ids are monotone with birth, so the arena's birth-list tail is the
+   youngest alive node — O(1), no cached id to invalidate. *)
+let newest t = Dyngraph.newest_alive t.graph
 
 let flood ?max_rounds t =
-  let default = int_of_float (8. *. log (float_of_int t.n)) + 60 in
-  let rec until_birth () =
-    let before = Dyngraph.alive_count t.graph in
-    step t;
-    if Dyngraph.alive_count t.graph <= before then until_birth ()
-  in
-  let first = ref true in
-  Churnet_core.Flood.run_custom ?max_rounds ~graph:t.graph
-    ~step:(fun () ->
-      (* The first "step" plants the source via a birth; afterwards one
-         round is one unit of continuous time. *)
-      if !first then begin
-        first := false;
-        until_birth ()
-      end
-      else advance_time t 1.0)
-    ~newest:(fun () -> match newest t with Some id -> id | None -> -1)
-    ~default_max_rounds:default ()
+  Churnet_core.Flood.run_unit_time ?max_rounds ~n:t.n ~graph:t.graph
+    ~step:(fun () -> step t)
+    ~time:(fun () -> t.time)
+    ~newest:(fun () -> newest t)
+    ()
 
 let mean_out_degree t =
   let acc = ref 0 and count = ref 0 in

@@ -33,9 +33,6 @@ val graph : t -> Churnet_graph.Dyngraph.t
 val step : t -> unit
 (** One churn jump followed by one maintenance pass over deficient nodes. *)
 
-val advance_time : t -> float -> unit
-(** Advance continuous churn time by the given amount. *)
-
 val warm_up : t -> unit
 val time : t -> float
 val snapshot : t -> Churnet_graph.Snapshot.t

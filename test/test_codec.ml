@@ -290,7 +290,7 @@ let test_poisson_model_roundtrip () =
 
 let test_models_dispatch () =
   let s = Models.create ~rng:(Prng.create 33) Models.SDGR ~n:80 ~d:4 in
-  Models.warm_up s;
+  Models.warm_up_batch s;
   let s' = roundtrip Models.encode Models.decode s in
   check_string "kind preserved" (Models.kind_name (Models.kind s))
     (Models.kind_name (Models.kind s'));

@@ -107,9 +107,12 @@ let test_iter_neighbors_heavy_deaths () =
   check_bool "iterators agree after heavy deaths" true (iterators_agree g)
 
 (* --- Batched churn vs per-jump: byte-identical model evolution ------ *)
-(* The batched runners claim bit-identical state — PRNG streams, clock,
-   pending jump, topology.  The strongest possible assertion is equality
-   of the full checkpoint encoding, which serializes all of it. *)
+(* The bulk runners claim bit-identical state to the per-jump jump chain
+   — PRNG streams, clock, pending jump, topology.  The strongest possible
+   assertion is equality of the full checkpoint encoding, which
+   serializes all of it.  The per-jump reference is built here from
+   [step] and [next_jump_time] alone, so it never enters the bulk
+   runners it checks. *)
 
 module Poisson_model = Churnet_core.Poisson_model
 module Codec = Churnet_util.Codec
@@ -122,41 +125,64 @@ let encoded m =
 let pm seed ~regenerate =
   Poisson_model.create ~rng:(Prng.create seed) ~n:300 ~d:3 ~regenerate ()
 
+let ref_run_rounds m k =
+  for _ = 1 to k do
+    Poisson_model.step m
+  done
+
+(* Execute every jump at or before [deadline]; the crossing jump is left
+   drawn and pending, as the contract of [run_until_time] says. *)
+let ref_run_until_time m deadline =
+  while Poisson_model.next_jump_time m <= deadline do
+    Poisson_model.step m
+  done
+
+let ref_warm_up m = ref_run_rounds m (12 * Poisson_model.n m)
+
 let test_batched_run_rounds () =
   List.iter
     (fun regenerate ->
       let a = pm 7 ~regenerate and b = pm 7 ~regenerate in
-      Poisson_model.run_rounds a 9000;
-      Poisson_model.run_rounds_batched b 9000;
-      check_bool "run_rounds == run_rounds_batched" true (encoded a = encoded b))
+      ref_run_rounds a 9000;
+      Poisson_model.run_rounds b 9000;
+      check_bool "run_rounds == step loop" true (encoded a = encoded b))
     [ false; true ]
 
 let test_batched_warm_up () =
   let a = pm 11 ~regenerate:true and b = pm 11 ~regenerate:true in
-  Poisson_model.warm_up a;
-  Poisson_model.warm_up_batched b;
-  check_bool "warm_up == warm_up_batched" true (encoded a = encoded b)
+  ref_warm_up a;
+  Poisson_model.warm_up b;
+  check_bool "warm_up == step loop" true (encoded a = encoded b)
 
-(* Interleave deadline runs with per-jump segments so the pending jump is
-   handed in both directions across the batched/per-jump boundary. *)
+(* Interleave deadline runs with per-jump segments on the bulk side so the
+   pending jump is handed in both directions: a bulk runner leaves the
+   crossing jump pending for [step], and [next_jump_time] pre-draws one
+   that the next bulk runner must count first. *)
 let test_batched_run_until_time () =
   let a = pm 13 ~regenerate:false and b = pm 13 ~regenerate:false in
-  Poisson_model.warm_up a;
-  Poisson_model.warm_up_batched b;
+  ref_warm_up a;
+  Poisson_model.warm_up b;
   for k = 1 to 25 do
     let deadline = Poisson_model.time a +. (0.37 *. float_of_int k) in
-    Poisson_model.run_until_time a deadline;
-    Poisson_model.run_until_time_batched b deadline;
+    ref_run_until_time a deadline;
+    Poisson_model.run_until_time b deadline;
     check_bool "deadline runs stay byte-identical" true (encoded a = encoded b);
-    Poisson_model.run_rounds a 13;
-    Poisson_model.run_rounds_batched b 13;
-    check_bool "per-jump after pending stays byte-identical" true (encoded a = encoded b)
+    ref_run_rounds a 2;
+    Poisson_model.step b;
+    Poisson_model.step b;
+    check_bool "step after a bulk deadline run stays byte-identical" true
+      (encoded a = encoded b);
+    ignore (Poisson_model.next_jump_time b);
+    ref_run_rounds a 13;
+    Poisson_model.run_rounds b 13;
+    check_bool "bulk run after a pre-drawn jump stays byte-identical" true
+      (encoded a = encoded b)
   done;
   (* A deadline below the next jump: both paths must draw (and keep) the
      crossing jump without executing anything. *)
   let deadline = Poisson_model.time a in
-  Poisson_model.run_until_time a deadline;
-  Poisson_model.run_until_time_batched b deadline;
+  ref_run_until_time a deadline;
+  Poisson_model.run_until_time b deadline;
   check_bool "no-op deadline stays byte-identical" true (encoded a = encoded b)
 
 (* --- Stream_stats vs Snapshot / Metrics ----------------------------- *)
@@ -217,7 +243,7 @@ let test_stream_stats_poisson () =
   List.iter
     (fun regenerate ->
       let m = pm 43 ~regenerate in
-      Poisson_model.warm_up_batched m;
+      Poisson_model.warm_up m;
       let g = Poisson_model.graph m in
       check_bool "stream stats on a warmed Poisson graph" true (stream_stats_agree g);
       check_bool "boundary/expansion on a warmed Poisson graph" true

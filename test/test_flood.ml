@@ -386,6 +386,69 @@ let test_async_completion_time_from_completing_event () =
           check_bool "within deadline" true (t <= max_time)
   done
 
+(* Observers coexist with the flooding drivers: an event recorder
+   attached before an asynchronous flood keeps recording through the run
+   and after it, so its replay still matches the live graph. *)
+let test_async_keeps_event_log () =
+  let module Dyngraph = Churnet_graph.Dyngraph in
+  let module Event_log = Churnet_graph.Event_log in
+  let module Snapshot = Churnet_graph.Snapshot in
+  let m = Poisson_model.create ~rng:(Prng.create 37) ~n:150 ~d:4 ~regenerate:true () in
+  let g = Poisson_model.graph m in
+  let log = Event_log.create () in
+  Event_log.attach log g;
+  Poisson_model.warm_up m;
+  let edge_hook = Dyngraph.edge_hook g and death_hook = Dyngraph.death_hook g in
+  let r = Flood.Async.run ~max_time:20. m in
+  check_bool "the flood churned" true (r.events > 0);
+  check_bool "edge hook handed back" true (Dyngraph.edge_hook g == edge_hook);
+  check_bool "death hook handed back" true (Dyngraph.death_hook g == death_hook);
+  let deaths () =
+    Array.fold_left
+      (fun acc e -> match e with Event_log.Death _ -> acc + 1 | _ -> acc)
+      0 (Event_log.events log)
+  in
+  let deaths_before = deaths () in
+  Poisson_model.run_rounds m 300;
+  check_bool "deaths after the flood are recorded" true (deaths () > deaths_before);
+  Event_log.detach log g;
+  let live = Dyngraph.snapshot g and replayed = Event_log.replay log in
+  check_bool "replay reconstructs the live topology" true
+    (Snapshot.ids live = Snapshot.ids replayed
+    && List.for_all
+         (fun i -> Snapshot.neighbors live i = Snapshot.neighbors replayed i)
+         (List.init (Snapshot.n live) Fun.id))
+
+exception Observer_failed
+
+(* A raising observer must not leave the drivers' temporary hooks
+   installed: both hand the graph's hooks back on the way out. *)
+let test_drivers_restore_hooks_on_raise () =
+  let module Dyngraph = Churnet_graph.Dyngraph in
+  let m = pdgr ~seed:41 ~n:150 () in
+  let g = Poisson_model.graph m in
+  let edge_hook = Some (fun ~src:_ ~dst:_ -> raise Observer_failed) in
+  let death_hook = Some (fun _ -> raise Observer_failed) in
+  Dyngraph.set_edge_hook g edge_hook;
+  Dyngraph.set_death_hook g death_hook;
+  (match Flood.Async.run m with
+  | _ -> Alcotest.fail "expected the observer's exception"
+  | exception Observer_failed -> ());
+  check_bool "async: edge hook restored" true (Dyngraph.edge_hook g == edge_hook);
+  check_bool "async: death hook restored" true (Dyngraph.death_hook g == death_hook);
+  let s = sdgr ~seed:43 ~n:100 () in
+  let sg = Streaming_model.graph s in
+  let hook = Some (fun ~src:_ ~dst:_ -> ()) in
+  Dyngraph.set_edge_hook sg hook;
+  let newest () = Streaming_model.newest s in
+  let st =
+    Flood.sync_start ~max_rounds:10 ~graph:sg ~step:(fun () -> Streaming_model.step s) ~newest
+  in
+  (match Flood.sync_round ~graph:sg ~step:(fun () -> raise Observer_failed) ~newest st with
+  | () -> Alcotest.fail "expected the step's exception"
+  | exception Observer_failed -> ());
+  check_bool "sync: edge hook restored" true (Dyngraph.edge_hook sg == hook)
+
 let suite =
   suite
   @ [
@@ -400,4 +463,6 @@ let suite =
       ("frontier flood = full rescan", `Quick, test_frontier_flood_equals_full_rescan);
       ("async: completion time from completing event", `Quick,
        test_async_completion_time_from_completing_event);
+      ("async keeps an attached event log", `Quick, test_async_keeps_event_log);
+      ("drivers restore hooks on raise", `Quick, test_drivers_restore_hooks_on_raise);
     ]

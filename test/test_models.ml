@@ -173,7 +173,7 @@ let test_wrapper_dispatch () =
       check_bool "kind preserved" true (Models.kind m = k);
       check_int "n" 60 (Models.n m);
       check_int "d" 3 (Models.d m);
-      Models.warm_up m;
+      Models.warm_up_batch m;
       let pop = Dyngraph.alive_count (Models.graph m) in
       check_bool "population reasonable" true (pop > 30 && pop < 90);
       Models.advance m 5;
@@ -236,7 +236,7 @@ let suite =
 
 let test_advance_poisson_time_units () =
   let m = Models.create ~rng:(Prng.create 71) Models.PDGR ~n:200 ~d:4 in
-  Models.warm_up m;
+  Models.warm_up_batch m;
   match m with
   | Models.Poisson pm ->
       let t0 = Poisson_model.time pm in
@@ -247,7 +247,7 @@ let test_advance_poisson_time_units () =
 
 let test_advance_streaming_rounds () =
   let m = Models.create ~rng:(Prng.create 73) Models.SDGR ~n:100 ~d:3 in
-  Models.warm_up m;
+  Models.warm_up_batch m;
   match m with
   | Models.Streaming sm ->
       let r0 = Streaming_model.round sm in

@@ -61,8 +61,26 @@ let test_bitcoin_tables_fill () =
 
 let test_bitcoin_time_advances () =
   let m = Bitcoin_like.create ~rng:(Prng.create 8) ~n:100 () in
-  Bitcoin_like.advance_time m 5.;
-  check_bool "time >= 5" true (Bitcoin_like.time m >= 5.)
+  for _ = 1 to 50 do
+    let t0 = Bitcoin_like.time m in
+    Bitcoin_like.step m;
+    check_bool "each jump advances the clock" true (Bitcoin_like.time m > t0)
+  done
+
+(* [newest] is the youngest alive node: with the newborn killed it falls
+   back to the largest alive id, not a stale or missing one. *)
+let test_bitcoin_newest_after_newborn_dies () =
+  let m = Bitcoin_like.create ~rng:(Prng.create 9) ~n:60 () in
+  Bitcoin_like.warm_up m;
+  let g = Bitcoin_like.graph m in
+  let max_alive () = Array.fold_left max (-1) (Dyngraph.alive_ids g) in
+  (* Ids are monotone with birth: the largest alive id is the newest
+     surviving newborn. *)
+  let newborn = max_alive () in
+  check_bool "newest is the newborn" true (Bitcoin_like.newest m = Some newborn);
+  Dyngraph.kill g newborn;
+  check_bool "newest is the max alive id" true (Bitcoin_like.newest m = Some (max_alive ()));
+  check_bool "the dead newborn is not reported" true (Bitcoin_like.newest m <> Some newborn)
 
 (* --- Random-walk streaming --- *)
 
@@ -151,6 +169,7 @@ let suite =
     ("bitcoin flood", `Quick, test_bitcoin_flood_completes);
     ("bitcoin address tables", `Quick, test_bitcoin_tables_fill);
     ("bitcoin time", `Quick, test_bitcoin_time_advances);
+    ("bitcoin newest after newborn dies", `Quick, test_bitcoin_newest_after_newborn_dies);
     ("rw population", `Quick, test_rw_population);
     ("rw connected", `Quick, test_rw_connected);
     ("rw flood", `Quick, test_rw_flood_completes);
