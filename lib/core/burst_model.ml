@@ -1,35 +1,20 @@
 module Dyngraph = Churnet_graph.Dyngraph
 module Prng = Churnet_util.Prng
 
-type t = {
-  n : int;
-  d : int;
-  burst_every : int;
-  burst_size : int;
-  rng : Prng.t;
-  base : Streaming_model.t;
-  mutable bursts : int;
-}
+type t = { burst_every : int; burst_size : int; base : Streaming_model.t; mutable bursts : int }
 
 let create ~rng ~n ~d ~burst_every ~burst_size () =
   if burst_every < 1 then invalid_arg "Burst_model.create: burst_every must be >= 1";
   if burst_size < 0 || burst_size >= n then
     invalid_arg "Burst_model.create: burst_size must be in [0, n)";
-  let base_rng = Prng.split rng in
   {
-    n;
-    d;
     burst_every;
     burst_size;
-    rng;
-    base = Streaming_model.create ~rng:base_rng ~n ~d ~regenerate:true ();
+    base = Streaming_model.create ~rng:(Prng.split rng) ~n ~d ~regenerate:true ();
     bursts = 0;
   }
 
-let n t = t.n
-let d t = t.d
 let graph t = Streaming_model.graph t.base
-let round t = Streaming_model.round t.base
 
 (* The adversary removes [burst_size] uniformly random alive nodes
    (excluding this round's newborn so a flooding source cannot be erased
@@ -59,7 +44,7 @@ let step t =
      uniformly random death so the population stays pinned at n. *)
   let g = graph t in
   let newborn = Streaming_model.newest t.base in
-  while Dyngraph.alive_count g > t.n do
+  while Dyngraph.alive_count g > Streaming_model.n t.base do
     let rec victim tries =
       let v = Dyngraph.random_alive g in
       if v <> newborn || tries = 0 then v else victim (tries - 1)
@@ -69,19 +54,15 @@ let step t =
   if Streaming_model.round t.base mod t.burst_every = 0 && t.burst_size > 0 then
     fire_burst t
 
-let run t k =
-  for _ = 1 to k do
+let warm_up t =
+  for _ = 1 to 2 * Streaming_model.n t.base do
     step t
   done
-
-let warm_up t = run t (2 * t.n)
-let newest t = Streaming_model.newest t.base
-let snapshot t = Streaming_model.snapshot t.base
 
 let flood ?max_rounds t =
   Flood.run_custom ?max_rounds ~graph:(graph t)
     ~step:(fun () -> step t)
-    ~newest:(fun () -> newest t)
-    ~default_max_rounds:(4 * t.n) ()
+    ~newest:(fun () -> Streaming_model.newest t.base)
+    ~default_max_rounds:(4 * Streaming_model.n t.base) ()
 
 let bursts_fired t = t.bursts

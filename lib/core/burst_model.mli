@@ -29,17 +29,12 @@ val create :
   unit ->
   t
 
-val n : t -> int
-val d : t -> int
 val graph : t -> Churnet_graph.Dyngraph.t
-val step : t -> unit
-(** One base streaming round; additionally fires a burst when the round
-    counter hits a multiple of [burst_every]. *)
 
-val run : t -> int -> unit
 val warm_up : t -> unit
-val round : t -> int
-val newest : t -> Churnet_graph.Dyngraph.node_id
-val snapshot : t -> Churnet_graph.Snapshot.t
+(** Run [2 n] rounds.  Each is a base streaming round that additionally
+    fires a burst when the round counter hits a multiple of
+    [burst_every]. *)
+
 val flood : ?max_rounds:int -> t -> Flood.trace
 val bursts_fired : t -> int

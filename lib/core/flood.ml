@@ -354,8 +354,11 @@ let run_streaming ?max_rounds model =
    O(log n) flooding time with room to spare. *)
 let unit_time_max_rounds n = int_of_float (8. *. log (float_of_int n)) + 60
 
-let run_unit_time ?max_rounds ~n ~graph ~step ~time ~newest () =
-  let max_rounds = Option.value ~default:(unit_time_max_rounds n) max_rounds in
+let run_unit_time ?max_rounds ~step model =
+  let graph = Poisson_model.graph model in
+  let max_rounds =
+    Option.value ~default:(unit_time_max_rounds (Poisson_model.n model)) max_rounds
+  in
   (* The source is the next newborn: execute jumps until a birth. *)
   let rec until_birth () =
     let before = Dyngraph.alive_count graph in
@@ -365,13 +368,13 @@ let run_unit_time ?max_rounds ~n ~graph ~step ~time ~newest () =
   (* One round: execute jumps until the clock has moved a full unit (the
      crossing jump is part of the round). *)
   let one_unit () =
-    let deadline = time () +. 1.0 in
-    while time () < deadline do
+    let deadline = Poisson_model.time model +. 1.0 in
+    while Poisson_model.time model < deadline do
       step ()
     done
   in
   run_sync ~max_rounds ~graph ~start:until_birth ~step:one_unit
-    ~newest:(fun () -> match newest () with Some id -> id | None -> -1)
+    ~newest:(fun () -> match Poisson_model.newest model with Some id -> id | None -> -1)
 
 (* Candidate edges recorded at the start of a unit interval are
    flat-encoded as 4 consecutive ints in a scratch vector:

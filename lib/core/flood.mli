@@ -141,26 +141,19 @@ val run_custom :
   trace
 (** Synchronous flooding (Definition 3.3 semantics) over any round-based
     dynamic graph: [step] advances one churn round, [newest] names the
-    node born in the latest round.  Used by {!run_streaming}, by
-    round-based extension models and by the streaming protocol baselines
-    in [churnet_p2p]. *)
+    node born in the latest round.  Used by {!run_streaming},
+    {!Burst_model} and the streaming overlays in [churnet_p2p]
+    ([Rw_streaming], [Cache_protocol], [Local_update]). *)
 
-val run_unit_time :
-  ?max_rounds:int ->
-  n:int ->
-  graph:Churnet_graph.Dyngraph.t ->
-  step:(unit -> unit) ->
-  time:(unit -> float) ->
-  newest:(unit -> Churnet_graph.Dyngraph.node_id option) ->
-  unit ->
-  trace
+val run_unit_time : ?max_rounds:int -> step:(unit -> unit) -> Poisson_model.t -> trace
 (** Synchronous flooding (Definition 3.3 semantics) with one round per
-    unit of continuous time, over a Poisson-churn model driven one jump
-    at a time: [step] executes one jump, [time] reads the model clock,
-    [newest] names the youngest alive node.  The source is the next
-    newborn; each later round executes jumps until the clock has moved at
-    least one unit past the round's start (the crossing jump belongs to
-    the round).  [max_rounds] defaults to [8 ln n + 60], the bound of
+    unit of continuous time, over a model built on a {!Poisson_model.t}
+    whose jumps [step] executes one at a time (typically a
+    {!Poisson_model.step_with} call plus the model's repair pass).  The
+    clock is {!Poisson_model.time} and the source is the next newborn;
+    each later round executes jumps until the clock has moved at least
+    one unit past the round's start (the crossing jump belongs to the
+    round).  [max_rounds] defaults to [8 ln n + 60], the bound of
     {!run_poisson_discretized}.  The one sync flood driver for the
     Poisson-churn extension models ({!Capped_model}, {!Lazy_regen_model})
     and [churnet_p2p]'s Bitcoin-like overlay. *)

@@ -56,17 +56,19 @@ let draw_pending t =
       t.pending <- Some p;
       p
 
-let execute t (decision, dt) =
+(* The one jump-application body: clear the pending jump, advance the
+   clock, and hand the birth round or the uniform victim to the rule. *)
+let apply t ~birth ~death x (decision, dt) =
   t.pending <- None;
   t.time <- t.time +. dt;
   match decision with
-  | Poisson_churn.Birth ->
-      ignore (Dyngraph.add_node t.graph ~birth:(Poisson_churn.round t.churn))
-  | Poisson_churn.Death ->
-      let victim = Dyngraph.random_alive t.graph in
-      Dyngraph.kill t.graph victim
+  | Poisson_churn.Birth -> birth x (Poisson_churn.round t.churn)
+  | Poisson_churn.Death -> death x (Dyngraph.random_alive t.graph)
 
+let add_uniform g round = ignore (Dyngraph.add_node g ~birth:round)
+let execute t p = apply t ~birth:add_uniform ~death:Dyngraph.kill t.graph p
 let step t = execute t (draw_pending t)
+let step_with t ~birth ~death x = apply t ~birth ~death x (draw_pending t)
 
 let next_jump_time t =
   let _, dt = draw_pending t in

@@ -32,6 +32,28 @@ val population : t -> int
 val step : t -> unit
 (** Execute one jump (birth or death). *)
 
+val step_with :
+  t ->
+  birth:('a -> int -> unit) ->
+  death:('a -> Churnet_graph.Dyngraph.node_id -> unit) ->
+  'a ->
+  unit
+(** [step_with t ~birth ~death x] executes one jump of the chain with a
+    pluggable birth/death rule over the rule state [x]; [step t] is this
+    with the paper's rule (uniform requests, plain removal).  The chain
+    draws the jump, advances {!time} and then:
+    - on a birth, calls [birth x r] with the jump index [r] ({!round}).
+      It must insert exactly one node born at [r] into {!graph};
+    - on a death, draws the uniform victim [v]
+      ([Dyngraph.random_alive]) and calls [death x v].  It must remove
+      [v] from {!graph} (and may repair the edges [v] leaves behind).
+
+    The population the next jump sees is read from {!graph}, so a rule
+    that inserts or removes anything else changes the chain.  The rule
+    gets its state as an argument rather than capturing it in a closure,
+    so a caller passing top-level functions allocates nothing per
+    jump. *)
+
 val next_jump_time : t -> float
 (** Absolute time at which the next jump will occur.  Drawing is lazy and
     idempotent: the returned value is the one the next [step] executes.

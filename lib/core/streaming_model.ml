@@ -23,7 +23,7 @@ let regenerates t = Dyngraph.regenerate t.graph
 let round t = t.round
 let graph t = t.graph
 
-let step t =
+let step_with t ~die ~born x =
   t.round <- t.round + 1;
   (* Death of the node born n rounds ago happens first, so the newborn
      samples among N_t = nodes born in (t - n, t). *)
@@ -31,10 +31,13 @@ let step t =
      holds the node born exactly n rounds ago, which dies now. *)
   let slot = t.round mod t.n in
   let dying = t.birth_ids.(slot) in
-  if dying >= 0 && Dyngraph.is_alive t.graph dying then Dyngraph.kill t.graph dying;
-  let id = Dyngraph.add_node t.graph ~birth:t.round in
+  if dying >= 0 && Dyngraph.is_alive t.graph dying then die x dying;
+  let id = born x t.round in
   t.birth_ids.(slot) <- id;
   t.newest <- id
+
+let add_uniform g round = Dyngraph.add_node g ~birth:round
+let step t = step_with t ~die:Dyngraph.kill ~born:add_uniform t.graph
 
 let run t k =
   for _ = 1 to k do

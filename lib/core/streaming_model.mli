@@ -23,6 +23,27 @@ val step : t -> unit
 (** Execute one round: kill the node of age [n] (if any), then insert a
     newborn that issues its [d] requests. *)
 
+val step_with :
+  t ->
+  die:('a -> Churnet_graph.Dyngraph.node_id -> unit) ->
+  born:('a -> int -> Churnet_graph.Dyngraph.node_id) ->
+  'a ->
+  unit
+(** [step_with t ~die ~born x] executes one round of the Definition 3.2
+    schedule with a pluggable attachment rule over the rule state [x];
+    [step t] is this with the paper's uniform rule.  In order:
+    - the round counter advances to [r];
+    - [die x v] is called for the node [v] born [n] rounds ago, only if
+      [v] is still alive.  It must remove [v] from {!graph} (and may
+      repair the edges [v] leaves behind);
+    - [born x r] must insert exactly one node born at round [r] into
+      {!graph} and return its id, which becomes {!newest} and dies [n]
+      rounds later.
+
+    The rule gets its state as an argument rather than capturing it in a
+    closure, so a caller passing top-level functions allocates nothing
+    per round. *)
+
 val run : t -> int -> unit
 (** [run t k] executes [k] rounds. *)
 

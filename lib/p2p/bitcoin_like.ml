@@ -1,5 +1,5 @@
 module Dyngraph = Churnet_graph.Dyngraph
-module Poisson_churn = Churnet_churn.Poisson_churn
+module Poisson_model = Churnet_core.Poisson_model
 module Prng = Churnet_util.Prng
 
 type peer_state = {
@@ -7,55 +7,43 @@ type peer_state = {
   mutable fill : int;
 }
 
+(* Bitcoin Core's outbound target, and the address-table sizes of the
+   bootstrap and gossip rules. *)
+let target_out = 8
+let table_size = 64
+let seed_size = 16
+let gossip_size = 8
+
 type t = {
-  n : int;
-  target_out : int;
+  base : Poisson_model.t;
   max_in : int;
-  table_size : int;
-  seed_size : int;
-  gossip_size : int;
   rng : Prng.t;
-  graph : Dyngraph.t;
-  churn : Poisson_churn.t;
   peers : (int, peer_state) Hashtbl.t;
   deficient : (int, unit) Hashtbl.t; (* nodes below target out-degree *)
-  mutable time : float;
 }
 
-let create ~rng ?(target_out = 8) ?(max_in = 125) ?(table_size = 64) ?(seed_size = 16)
-    ?(gossip_size = 8) ~n () =
-  let graph_rng = Prng.split rng in
-  let churn_rng = Prng.split rng in
+let create ~rng ?(max_in = 125) ~n () =
   {
-    n;
-    target_out;
+    base = Poisson_model.create ~rng ~n ~d:target_out ~regenerate:false ();
     max_in;
-    table_size;
-    seed_size;
-    gossip_size;
     rng;
-    graph = Dyngraph.create ~rng:graph_rng ~d:target_out ~regenerate:false ();
-    churn = Poisson_churn.create ~rng:churn_rng ~n ();
     peers = Hashtbl.create 1024;
     deficient = Hashtbl.create 256;
-    time = 0.;
   }
 
-let n t = t.n
-let graph t = t.graph
-let time t = t.time
+let graph t = Poisson_model.graph t.base
 
 let table_insert t peer addr =
   if addr >= 0 then begin
     let exists = Array.exists (fun a -> a = addr) peer.table in
     if not exists then
-      if peer.fill < t.table_size then begin
+      if peer.fill < table_size then begin
         peer.table.(peer.fill) <- addr;
         peer.fill <- peer.fill + 1
       end
       else begin
         (* Random replacement keeps the table a moving sample. *)
-        let i = Prng.int t.rng t.table_size in
+        let i = Prng.int t.rng table_size in
         peer.table.(i) <- addr
       end
   end
@@ -69,7 +57,7 @@ let peer_of t id = Hashtbl.find_opt t.peers id
 let gossip t a b =
   match (peer_of t a, peer_of t b) with
   | Some pa, Some pb ->
-      for _ = 1 to t.gossip_size do
+      for _ = 1 to gossip_size do
         (match table_random t pa with Some addr -> table_insert t pb addr | None -> ());
         match table_random t pb with Some addr -> table_insert t pa addr | None -> ()
       done;
@@ -81,8 +69,9 @@ let try_fill t id =
   match peer_of t id with
   | None -> ()
   | Some peer ->
-      let missing () = t.target_out - Dyngraph.out_degree t.graph id in
-      let attempts = ref (4 * t.target_out) in
+      let g = graph t in
+      let missing () = target_out - Dyngraph.out_degree g id in
+      let attempts = ref (4 * target_out) in
       while missing () > 0 && !attempts > 0 do
         decr attempts;
         match table_random t peer with
@@ -90,13 +79,13 @@ let try_fill t id =
         | Some cand ->
             if
               cand <> id
-              && Dyngraph.is_alive t.graph cand
-              && Dyngraph.in_degree t.graph cand < t.max_in
-              && not (List.mem cand (Dyngraph.out_targets t.graph id))
+              && Dyngraph.is_alive g cand
+              && Dyngraph.in_degree g cand < t.max_in
+              && not (List.mem cand (Dyngraph.out_targets g id))
             then begin
-              if Dyngraph.connect t.graph ~src:id ~dst:cand then gossip t id cand
+              if Dyngraph.connect g ~src:id ~dst:cand then gossip t id cand
             end
-            else if not (Dyngraph.is_alive t.graph cand) then begin
+            else if not (Dyngraph.is_alive g cand) then begin
               (* Forget a dead address. *)
               let idx = ref (-1) in
               Array.iteri (fun i a -> if a = cand then idx := i) peer.table;
@@ -110,65 +99,53 @@ let try_fill t id =
       if missing () > 0 then Hashtbl.replace t.deficient id ()
       else Hashtbl.remove t.deficient id
 
-let birth t =
-  let id = Dyngraph.add_node_with_targets t.graph ~birth:(Poisson_churn.round t.churn) ~targets:[||] in
-  let peer = { table = Array.make t.table_size (-1); fill = 0 } in
+let birth t round =
+  let g = graph t in
+  let id = Dyngraph.add_node_with_targets g ~birth:round ~targets:[||] in
+  let peer = { table = Array.make table_size (-1); fill = 0 } in
   Hashtbl.replace t.peers id peer;
   (* DNS-seed bootstrap: a uniform sample of alive nodes. *)
-  let alive = Dyngraph.alive_count t.graph in
-  for _ = 1 to min t.seed_size (alive - 1) do
-    let cand = Dyngraph.random_alive t.graph in
+  let alive = Dyngraph.alive_count g in
+  for _ = 1 to min seed_size (alive - 1) do
+    let cand = Dyngraph.random_alive g in
     if cand <> id then table_insert t peer cand
   done;
   Hashtbl.replace t.deficient id ()
 
-let death t =
-  let victim = Dyngraph.random_alive t.graph in
+let death t victim =
+  let g = graph t in
   (* Whoever pointed at the victim becomes deficient. *)
-  let orphans = Dyngraph.in_neighbors t.graph victim in
-  Dyngraph.kill t.graph victim;
+  let orphans = Dyngraph.in_neighbors g victim in
+  Dyngraph.kill g victim;
   Hashtbl.remove t.peers victim;
   Hashtbl.remove t.deficient victim;
-  List.iter (fun u -> if Dyngraph.is_alive t.graph u then Hashtbl.replace t.deficient u ())
-    orphans
+  List.iter (fun u -> if Dyngraph.is_alive g u then Hashtbl.replace t.deficient u ()) orphans
 
 let maintenance t =
   let pending = Hashtbl.fold (fun id () acc -> id :: acc) t.deficient [] in
   List.iter
-    (fun id -> if Dyngraph.is_alive t.graph id then try_fill t id else Hashtbl.remove t.deficient id)
+    (fun id -> if Dyngraph.is_alive (graph t) id then try_fill t id else Hashtbl.remove t.deficient id)
     pending
 
 let step t =
-  let alive = Dyngraph.alive_count t.graph in
-  let decision, dt = Poisson_churn.decide t.churn ~alive in
-  t.time <- t.time +. dt;
-  (match decision with
-  | Poisson_churn.Birth -> birth t
-  | Poisson_churn.Death -> death t);
+  Poisson_model.step_with t.base ~birth ~death t;
   maintenance t
 
 let warm_up t =
-  for _ = 1 to 12 * t.n do
+  for _ = 1 to 12 * Poisson_model.n t.base do
     step t
   done
 
-let snapshot t = Dyngraph.snapshot t.graph
-
-(* Ids are monotone with birth, so the arena's birth-list tail is the
-   youngest alive node — O(1), no cached id to invalidate. *)
-let newest t = Dyngraph.newest_alive t.graph
+let snapshot t = Dyngraph.snapshot (graph t)
 
 let flood ?max_rounds t =
-  Churnet_core.Flood.run_unit_time ?max_rounds ~n:t.n ~graph:t.graph
-    ~step:(fun () -> step t)
-    ~time:(fun () -> t.time)
-    ~newest:(fun () -> newest t)
-    ()
+  Churnet_core.Flood.run_unit_time ?max_rounds ~step:(fun () -> step t) t.base
 
 let mean_out_degree t =
+  let g = graph t in
   let acc = ref 0 and count = ref 0 in
-  Dyngraph.iter_alive t.graph (fun id ->
-      acc := !acc + Dyngraph.out_degree t.graph id;
+  Dyngraph.iter_alive g (fun id ->
+      acc := !acc + Dyngraph.out_degree g id;
       incr count);
   if !count = 0 then nan else float_of_int !acc /. float_of_int !count
 

@@ -16,27 +16,18 @@
 
 type t
 
-val create :
-  rng:Churnet_util.Prng.t ->
-  ?target_out:int ->
-  ?max_in:int ->
-  ?table_size:int ->
-  ?seed_size:int ->
-  ?gossip_size:int ->
-  n:int ->
-  unit ->
-  t
-(** [n] is the stationary population (lambda = 1, mu = 1/n). *)
+val create : rng:Churnet_util.Prng.t -> ?max_in:int -> n:int -> unit -> t
+(** [n] is the stationary population (lambda = 1, mu = 1/n).  [max_in]
+    (default 125) is the in-degree cap.  The target out-degree is 8; an
+    address table holds 64 entries, bootstraps from 16 DNS-seed samples
+    and swaps up to 8 entries per gossip exchange. *)
 
-val n : t -> int
 val graph : t -> Churnet_graph.Dyngraph.t
 val step : t -> unit
 (** One churn jump followed by one maintenance pass over deficient nodes. *)
 
 val warm_up : t -> unit
-val time : t -> float
 val snapshot : t -> Churnet_graph.Snapshot.t
-val newest : t -> Churnet_graph.Dyngraph.node_id option
 
 val flood : ?max_rounds:int -> t -> Churnet_core.Flood.trace
 (** Synchronous flooding with one round per unit of continuous time,

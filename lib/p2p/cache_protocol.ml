@@ -1,80 +1,61 @@
 module Dyngraph = Churnet_graph.Dyngraph
+module Streaming_model = Churnet_core.Streaming_model
 module Prng = Churnet_util.Prng
 
+(* Probability that a newborn enters the cache. *)
+let join_probability = 0.5
+
 type t = {
-  n : int;
-  d : int;
-  cache_size : int;
-  join_probability : float;
+  base : Streaming_model.t;
   rng : Prng.t;
-  graph : Dyngraph.t;
+  cache_size : int;
   cache : int array; (* -1 = empty entry *)
-  mutable round : int;
-  birth_ids : int array;
-  mutable newest : int;
 }
 
-let create ~rng ?(cache_size = 32) ?(join_probability = 0.5) ~n ~d () =
-  if n < 2 then invalid_arg "Cache_protocol.create: n must be >= 2";
-  let graph_rng = Prng.split rng in
+let create ~rng ?(cache_size = 32) ~n ~d () =
   {
-    n;
-    d;
-    cache_size;
-    join_probability;
+    base = Streaming_model.create ~rng:(Prng.split rng) ~n ~d ~regenerate:false ();
     rng;
-    graph = Dyngraph.create ~rng:graph_rng ~d ~regenerate:false ();
+    cache_size;
     cache = Array.make cache_size (-1);
-    round = 0;
-    birth_ids = Array.make n (-1);
-    newest = -1;
   }
 
-let n t = t.n
-let d t = t.d
-let graph t = t.graph
+let graph t = Streaming_model.graph t.base
 
 let refresh_cache t =
   (* Replace dead (or empty) entries with uniform alive nodes. *)
-  if Dyngraph.alive_count t.graph > 0 then
+  let g = graph t in
+  if Dyngraph.alive_count g > 0 then
     Array.iteri
       (fun i entry ->
-        if entry < 0 || not (Dyngraph.is_alive t.graph entry) then
-          t.cache.(i) <- Dyngraph.random_alive t.graph)
+        if entry < 0 || not (Dyngraph.is_alive g entry) then
+          t.cache.(i) <- Dyngraph.random_alive g)
       t.cache
 
-let step t =
-  t.round <- t.round + 1;
-  let slot = t.round mod t.n in
-  let dying = t.birth_ids.(slot) in
-  if dying >= 0 && Dyngraph.is_alive t.graph dying then Dyngraph.kill t.graph dying;
+(* The attachment rule: the newborn links to [d] cache entries and then
+   joins the cache with probability [join_probability]. *)
+let born t round =
   refresh_cache t;
   let targets =
-    Array.init t.d (fun _ ->
-        let entry = t.cache.(Prng.int t.rng t.cache_size) in
-        entry)
+    Array.init (Streaming_model.d t.base) (fun _ -> t.cache.(Prng.int t.rng t.cache_size))
   in
-  let id = Dyngraph.add_node_with_targets t.graph ~birth:t.round ~targets in
-  if Prng.bernoulli t.rng t.join_probability then
+  let id = Dyngraph.add_node_with_targets (graph t) ~birth:round ~targets in
+  if Prng.bernoulli t.rng join_probability then
     t.cache.(Prng.int t.rng t.cache_size) <- id;
-  t.birth_ids.(slot) <- id;
-  t.newest <- id
+  id
 
-let run t k =
-  for _ = 1 to k do
+let kill t v = Dyngraph.kill (graph t) v
+let step t = Streaming_model.step_with t.base ~die:kill ~born t
+
+let warm_up t =
+  for _ = 1 to 2 * Streaming_model.n t.base do
     step t
   done
 
-let warm_up t = run t (2 * t.n)
-
-let newest t =
-  if t.newest < 0 then invalid_arg "Cache_protocol.newest: no rounds executed";
-  t.newest
-
-let snapshot t = Dyngraph.snapshot t.graph
+let snapshot t = Dyngraph.snapshot (graph t)
 
 let flood ?max_rounds t =
-  Churnet_core.Flood.run_custom ?max_rounds ~graph:t.graph
+  Churnet_core.Flood.run_custom ?max_rounds ~graph:(graph t)
     ~step:(fun () -> step t)
-    ~newest:(fun () -> newest t)
-    ~default_max_rounds:(4 * t.n) ()
+    ~newest:(fun () -> Streaming_model.newest t.base)
+    ~default_max_rounds:(4 * Streaming_model.n t.base) ()

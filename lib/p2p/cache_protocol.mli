@@ -11,21 +11,11 @@
 type t
 
 val create :
-  rng:Churnet_util.Prng.t ->
-  ?cache_size:int ->
-  ?join_probability:float ->
-  n:int ->
-  d:int ->
-  unit ->
-  t
-(** Defaults: [cache_size = 32], [join_probability = 0.5]. *)
+  rng:Churnet_util.Prng.t -> ?cache_size:int -> n:int -> d:int -> unit -> t
+(** [cache_size] defaults to 32.  A newborn joins the cache with
+    probability 1/2. *)
 
-val n : t -> int
-val d : t -> int
 val graph : t -> Churnet_graph.Dyngraph.t
-val step : t -> unit
-val run : t -> int -> unit
 val warm_up : t -> unit
-val newest : t -> Churnet_graph.Dyngraph.node_id
 val snapshot : t -> Churnet_graph.Snapshot.t
 val flood : ?max_rounds:int -> t -> Churnet_core.Flood.trace

@@ -1,32 +1,13 @@
 module Dyngraph = Churnet_graph.Dyngraph
+module Streaming_model = Churnet_core.Streaming_model
 module Prng = Churnet_util.Prng
 
-type t = {
-  n : int;
-  d : int;
-  rng : Prng.t;
-  graph : Dyngraph.t;
-  mutable round : int;
-  birth_ids : int array;
-  mutable newest : int;
-}
+type t = { base : Streaming_model.t; rng : Prng.t }
 
 let create ~rng ~n ~d () =
-  if n < 2 then invalid_arg "Local_update.create: n must be >= 2";
-  let graph_rng = Prng.split rng in
-  {
-    n;
-    d;
-    rng;
-    graph = Dyngraph.create ~rng:graph_rng ~d ~regenerate:false ();
-    round = 0;
-    birth_ids = Array.make n (-1);
-    newest = -1;
-  }
+  { base = Streaming_model.create ~rng:(Prng.split rng) ~n ~d ~regenerate:false (); rng }
 
-let n t = t.n
-let d t = t.d
-let graph t = t.graph
+let graph t = Streaming_model.graph t.base
 
 (* Birth by takeover: each donor picks one of its out-links, disconnects
    it, redirects it to the newborn; the newborn adopts the donor's old
@@ -35,7 +16,7 @@ let graph t = t.graph
    out-targets over to its orphaned in-neighbors. *)
 
 let random_alive_other t self =
-  let g = t.graph in
+  let g = graph t in
   if Dyngraph.alive_count g < 2 then None
   else begin
     let rec go tries =
@@ -48,40 +29,37 @@ let random_alive_other t self =
     go 16
   end
 
-let step t =
-  t.round <- t.round + 1;
-  let g = t.graph in
-  (* Death first (streaming schedule), with edge takeover. *)
-  let slot = t.round mod t.n in
-  let dying = t.birth_ids.(slot) in
-  if dying >= 0 && Dyngraph.is_alive g dying then begin
-    let inherited = Dyngraph.out_targets g dying in
-    let orphans = Dyngraph.in_neighbors g dying in
-    Dyngraph.kill g dying;
-    (* Pair orphaned in-neighbors with the dead node's former targets. *)
-    let rec pair orphans targets =
-      match (orphans, targets) with
-      | [], _ -> ()
-      | w :: ws, t0 :: ts ->
-          if Dyngraph.is_alive g w && Dyngraph.is_alive g t0 && w <> t0 then
-            ignore (Dyngraph.connect g ~src:w ~dst:t0);
-          pair ws ts
-      | w :: ws, [] ->
-          (match random_alive_other t w with
-          | Some cand when Dyngraph.is_alive g w ->
-              ignore (Dyngraph.connect g ~src:w ~dst:cand)
-          | _ -> ());
-          pair ws []
-    in
-    pair orphans inherited
-  end;
-  (* Birth by takeover. *)
+(* Death with edge takeover: pair orphaned in-neighbors with the dead
+   node's former targets. *)
+let die t dying =
+  let g = graph t in
+  let inherited = Dyngraph.out_targets g dying in
+  let orphans = Dyngraph.in_neighbors g dying in
+  Dyngraph.kill g dying;
+  let rec pair orphans targets =
+    match (orphans, targets) with
+    | [], _ -> ()
+    | w :: ws, t0 :: ts ->
+        if Dyngraph.is_alive g w && Dyngraph.is_alive g t0 && w <> t0 then
+          ignore (Dyngraph.connect g ~src:w ~dst:t0);
+        pair ws ts
+    | w :: ws, [] ->
+        (match random_alive_other t w with
+        | Some cand when Dyngraph.is_alive g w -> ignore (Dyngraph.connect g ~src:w ~dst:cand)
+        | _ -> ());
+        pair ws []
+  in
+  pair orphans inherited
+
+(* Birth by takeover. *)
+let born t round =
+  let g = graph t in
   let newborn_id = Dyngraph.peek_next_id g in
   let alive = Dyngraph.alive_count g in
   let adopt = ref [] in
   let donors = ref [] in
   if alive > 0 then
-    for _ = 1 to t.d do
+    for _ = 1 to Streaming_model.d t.base do
       let donor = Dyngraph.random_alive g in
       match Dyngraph.out_targets g donor with
       | [] -> adopt := donor :: !adopt (* donor has nothing to give: link to it *)
@@ -93,7 +71,7 @@ let step t =
           end
     done;
   let id =
-    Dyngraph.add_node_with_targets g ~birth:t.round
+    Dyngraph.add_node_with_targets g ~birth:round
       ~targets:(Array.of_list (List.filter (fun x -> x <> newborn_id) !adopt))
   in
   assert (id = newborn_id);
@@ -102,24 +80,19 @@ let step t =
       if Dyngraph.is_alive g donor && donor <> id then
         ignore (Dyngraph.connect g ~src:donor ~dst:id))
     !donors;
-  t.birth_ids.(slot) <- id;
-  t.newest <- id
+  id
 
-let run t k =
-  for _ = 1 to k do
+let step t = Streaming_model.step_with t.base ~die ~born t
+
+let warm_up t =
+  for _ = 1 to 2 * Streaming_model.n t.base do
     step t
   done
 
-let warm_up t = run t (2 * t.n)
-
-let newest t =
-  if t.newest < 0 then invalid_arg "Local_update.newest: no rounds executed";
-  t.newest
-
-let snapshot t = Dyngraph.snapshot t.graph
+let snapshot t = Dyngraph.snapshot (graph t)
 
 let flood ?max_rounds t =
-  Churnet_core.Flood.run_custom ?max_rounds ~graph:t.graph
+  Churnet_core.Flood.run_custom ?max_rounds ~graph:(graph t)
     ~step:(fun () -> step t)
-    ~newest:(fun () -> newest t)
-    ~default_max_rounds:(4 * t.n) ()
+    ~newest:(fun () -> Streaming_model.newest t.base)
+    ~default_max_rounds:(4 * Streaming_model.n t.base) ()

@@ -1,49 +1,28 @@
 module Dyngraph = Churnet_graph.Dyngraph
+module Streaming_model = Churnet_core.Streaming_model
 module Prng = Churnet_util.Prng
 
-type t = {
-  n : int;
-  d : int;
-  walk_length : int;
-  rng : Prng.t;
-  graph : Dyngraph.t;
-  mutable round : int;
-  birth_ids : int array;
-  mutable newest : int;
-}
+type t = { base : Streaming_model.t; rng : Prng.t; walk_length : int }
 
-let create ~rng ?walk_length ~n ~d () =
-  if n < 2 then invalid_arg "Rw_streaming.create: n must be >= 2";
-  let walk_length =
-    match walk_length with
-    | Some l -> l
-    | None -> 2 * int_of_float (Float.ceil (log (float_of_int n) /. log 2.))
-  in
-  let graph_rng = Prng.split rng in
+let create ~rng ~n ~d () =
   {
-    n;
-    d;
-    walk_length;
+    base = Streaming_model.create ~rng:(Prng.split rng) ~n ~d ~regenerate:false ();
     rng;
-    graph = Dyngraph.create ~rng:graph_rng ~d ~regenerate:false ();
-    round = 0;
-    birth_ids = Array.make n (-1);
-    newest = -1;
+    walk_length = 2 * int_of_float (Float.ceil (log (float_of_int n) /. log 2.));
   }
 
-let n t = t.n
-let d t = t.d
-let graph t = t.graph
+let graph t = Streaming_model.graph t.base
 
 (* One token walk: start uniform, take [walk_length] uniform-neighbor
    steps (restarting from a uniform node when stuck on a degree-0 node). *)
 let walk t =
-  if Dyngraph.alive_count t.graph = 0 then -1
+  let g = graph t in
+  if Dyngraph.alive_count g = 0 then -1
   else begin
-    let pos = ref (Dyngraph.random_alive t.graph) in
+    let pos = ref (Dyngraph.random_alive g) in
     for _ = 1 to t.walk_length do
-      match Dyngraph.neighbors t.graph !pos with
-      | [] -> pos := Dyngraph.random_alive t.graph
+      match Dyngraph.neighbors g !pos with
+      | [] -> pos := Dyngraph.random_alive g
       | neigh ->
           let arr = Array.of_list neigh in
           pos := Prng.choose t.rng arr
@@ -51,31 +30,23 @@ let walk t =
     !pos
   end
 
-let step t =
-  t.round <- t.round + 1;
-  let slot = t.round mod t.n in
-  let dying = t.birth_ids.(slot) in
-  if dying >= 0 && Dyngraph.is_alive t.graph dying then Dyngraph.kill t.graph dying;
-  let targets = Array.init t.d (fun _ -> walk t) in
-  let id = Dyngraph.add_node_with_targets t.graph ~birth:t.round ~targets in
-  t.birth_ids.(slot) <- id;
-  t.newest <- id
+(* The attachment rule: the newborn links to the endpoints of [d] walks. *)
+let born t round =
+  let targets = Array.init (Streaming_model.d t.base) (fun _ -> walk t) in
+  Dyngraph.add_node_with_targets (graph t) ~birth:round ~targets
 
-let run t k =
-  for _ = 1 to k do
+let kill t v = Dyngraph.kill (graph t) v
+let step t = Streaming_model.step_with t.base ~die:kill ~born t
+
+let warm_up t =
+  for _ = 1 to 2 * Streaming_model.n t.base do
     step t
   done
 
-let warm_up t = run t (2 * t.n)
-
-let newest t =
-  if t.newest < 0 then invalid_arg "Rw_streaming.newest: no rounds executed";
-  t.newest
-
-let snapshot t = Dyngraph.snapshot t.graph
+let snapshot t = Dyngraph.snapshot (graph t)
 
 let flood ?max_rounds t =
-  Churnet_core.Flood.run_custom ?max_rounds ~graph:t.graph
+  Churnet_core.Flood.run_custom ?max_rounds ~graph:(graph t)
     ~step:(fun () -> step t)
-    ~newest:(fun () -> newest t)
-    ~default_max_rounds:(4 * t.n) ()
+    ~newest:(fun () -> Streaming_model.newest t.base)
+    ~default_max_rounds:(4 * Streaming_model.n t.base) ()

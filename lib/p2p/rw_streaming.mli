@@ -8,22 +8,11 @@
 
 type t
 
-val create :
-  rng:Churnet_util.Prng.t ->
-  ?walk_length:int ->
-  n:int ->
-  d:int ->
-  unit ->
-  t
-(** [walk_length] defaults to [2 * ceil(log2 n)] steps — enough mixing on
-    a low-diameter graph. *)
+val create : rng:Churnet_util.Prng.t -> n:int -> d:int -> unit -> t
+(** Each walk takes [2 * ceil(log2 n)] steps — enough mixing on a
+    low-diameter graph. *)
 
-val n : t -> int
-val d : t -> int
 val graph : t -> Churnet_graph.Dyngraph.t
-val step : t -> unit
-val run : t -> int -> unit
 val warm_up : t -> unit
-val newest : t -> Churnet_graph.Dyngraph.node_id
 val snapshot : t -> Churnet_graph.Snapshot.t
 val flood : ?max_rounds:int -> t -> Churnet_core.Flood.trace

@@ -24,9 +24,11 @@ let golden_seed = 42
    cells that drive each churn-advance and flood path outside them:
    Capped_model (X1), Lazy_regen_model (A1), the p2p overlays + PDGR (F10),
    Flood.Async + discretized flooding (F11), Gossip (X2), the arrival-rate
-   sweep (S1) and the isolated-node census (E2). *)
+   sweep (S1), the isolated-node census (E2), the p2p overlay snapshots
+   (F12) and Burst_model (X3). *)
 let experiment_ids =
-  [ "E1"; "E10"; "F4"; "F6"; "F8"; "F14"; "X1"; "A1"; "F10"; "F11"; "X2"; "S1"; "E2" ]
+  [ "E1"; "E10"; "F4"; "F6"; "F8"; "F14"; "X1"; "A1"; "F10"; "F11"; "X2"; "S1"; "E2";
+    "F12"; "X3" ]
 
 let experiment_render id =
   match Registry.find id with

@@ -185,6 +185,31 @@ let test_batched_run_until_time () =
   Poisson_model.run_until_time b deadline;
   check_bool "no-op deadline stays byte-identical" true (encoded a = encoded b)
 
+(* [step_with] with the paper's own rule (uniform requests, plain
+   removal) must be [step]: same draws, same clock, same pending jump.
+   Every seventh jump is pre-drawn by [next_jump_time] first, so
+   [step_with] also has to consume a pending jump exactly as [step]
+   does. *)
+let add_uniform g round = ignore (Dyngraph.add_node g ~birth:round)
+
+let test_step_with_plain_rule () =
+  List.iter
+    (fun regenerate ->
+      let a = pm 17 ~regenerate and b = pm 17 ~regenerate in
+      for k = 1 to 3000 do
+        if k mod 7 = 0 then begin
+          ignore (Poisson_model.next_jump_time a);
+          ignore (Poisson_model.next_jump_time b)
+        end;
+        Poisson_model.step a;
+        Poisson_model.step_with b ~birth:add_uniform ~death:Dyngraph.kill
+          (Poisson_model.graph b)
+      done;
+      ignore (Poisson_model.next_jump_time a);
+      ignore (Poisson_model.next_jump_time b);
+      check_bool "step_with plain rule == step" true (encoded a = encoded b))
+    [ false; true ]
+
 (* --- Stream_stats vs Snapshot / Metrics ----------------------------- *)
 
 module Stream_stats = Churnet_graph.Stream_stats
@@ -281,6 +306,7 @@ let suite =
     ("batched run_rounds byte-identical", `Quick, test_batched_run_rounds);
     ("batched warm_up byte-identical", `Quick, test_batched_warm_up);
     ("batched run_until_time byte-identical", `Quick, test_batched_run_until_time);
+    ("step_with plain rule byte-identical", `Quick, test_step_with_plain_rule);
     ("stream stats: empty graph", `Quick, test_stream_stats_empty);
     ("stream stats: churned graph", `Quick, test_stream_stats_churned);
     ("stream stats: warmed Poisson graph", `Quick, test_stream_stats_poisson);

@@ -97,6 +97,56 @@ let test_streaming_create_invalid () =
 
 (* --- Poisson model --- *)
 
+(* [step_with]'s contract, observed through a recording rule: [die]
+   gets exactly the node born n rounds earlier and runs before [born];
+   a node already dead skips [die]; [born]'s id becomes [newest]. *)
+type event = Die of int | Born of int
+
+type recorder = { g : Dyngraph.t; mutable events : event list }
+
+let record_die r v =
+  r.events <- Die v :: r.events;
+  Dyngraph.kill r.g v
+
+let record_born r round =
+  let id = Dyngraph.add_node r.g ~birth:round in
+  r.events <- Born id :: r.events;
+  id
+
+let test_streaming_step_with_contract () =
+  let n = 6 in
+  let m = Streaming_model.create ~rng:(Prng.create 19) ~n ~d:2 ~regenerate:false () in
+  let r = { g = Streaming_model.graph m; events = [] } in
+  let born_at = Hashtbl.create 64 in
+  let step () =
+    r.events <- [];
+    Streaming_model.step_with m ~die:record_die ~born:record_born r;
+    let round = Streaming_model.round m in
+    let id =
+      match r.events with Born id :: _ -> id | _ -> Alcotest.fail "born must run last"
+    in
+    Hashtbl.replace born_at round id;
+    check_int "newest = born's id" id (Streaming_model.newest m);
+    (round, id)
+  in
+  for _ = 1 to 4 * n do
+    let round, id = step () in
+    let expected =
+      if round > n then [ Born id; Die (Hashtbl.find born_at (round - n)) ] else [ Born id ]
+    in
+    check_bool
+      (Printf.sprintf "round %d: die(born n rounds ago) then born" round)
+      true (r.events = expected)
+  done;
+  (* Kill the node due next round early: its scheduled death is skipped. *)
+  let due = Hashtbl.find born_at (Streaming_model.round m + 1 - n) in
+  Dyngraph.kill r.g due;
+  let _, id = step () in
+  check_bool "die skipped for a node already dead" true (r.events = [ Born id ]);
+  let round, id = step () in
+  check_bool "the schedule resumes" true
+    (r.events = [ Born id; Die (Hashtbl.find born_at (round - n)) ])
+
 let test_poisson_population_band () =
   let n = 1000 in
   let m = Poisson_model.create ~rng:(Prng.create 23) ~n ~d:3 ~regenerate:false () in
@@ -219,6 +269,7 @@ let suite =
     ("SDG mean degree (Lemma 6.1)", `Quick, test_sdg_mean_degree_near_d);
     ("streaming invariants", `Quick, test_streaming_invariants_after_warmup);
     ("streaming invalid create", `Quick, test_streaming_create_invalid);
+    ("streaming step_with contract", `Quick, test_streaming_step_with_contract);
     ("poisson population band", `Quick, test_poisson_population_band);
     ("poisson time advances", `Quick, test_poisson_time_advances);
     ("poisson run_until_time", `Quick, test_poisson_run_until_time);

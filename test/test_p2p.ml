@@ -59,29 +59,6 @@ let test_bitcoin_tables_fill () =
   Bitcoin_like.warm_up m;
   check_bool "address tables populated" true (Bitcoin_like.mean_table_fill m > 8.)
 
-let test_bitcoin_time_advances () =
-  let m = Bitcoin_like.create ~rng:(Prng.create 8) ~n:100 () in
-  for _ = 1 to 50 do
-    let t0 = Bitcoin_like.time m in
-    Bitcoin_like.step m;
-    check_bool "each jump advances the clock" true (Bitcoin_like.time m > t0)
-  done
-
-(* [newest] is the youngest alive node: with the newborn killed it falls
-   back to the largest alive id, not a stale or missing one. *)
-let test_bitcoin_newest_after_newborn_dies () =
-  let m = Bitcoin_like.create ~rng:(Prng.create 9) ~n:60 () in
-  Bitcoin_like.warm_up m;
-  let g = Bitcoin_like.graph m in
-  let max_alive () = Array.fold_left max (-1) (Dyngraph.alive_ids g) in
-  (* Ids are monotone with birth: the largest alive id is the newest
-     surviving newborn. *)
-  let newborn = max_alive () in
-  check_bool "newest is the newborn" true (Bitcoin_like.newest m = Some newborn);
-  Dyngraph.kill g newborn;
-  check_bool "newest is the max alive id" true (Bitcoin_like.newest m = Some (max_alive ()));
-  check_bool "the dead newborn is not reported" true (Bitcoin_like.newest m <> Some newborn)
-
 (* --- Random-walk streaming --- *)
 
 let test_rw_population () =
@@ -150,9 +127,10 @@ let test_cache_invariants () =
 let test_cache_newborn_targets_from_cache () =
   (* With cache_size 1 the newborn always connects to the cached node. *)
   let m = Cache_protocol.create ~rng:(Prng.create 25) ~cache_size:1 ~n:50 ~d:2 () in
-  Cache_protocol.run m 30;
+  Cache_protocol.warm_up m;
   let g = Cache_protocol.graph m in
-  let newest = Cache_protocol.newest m in
+  (* Ids are monotone with birth: the youngest alive node is the newborn. *)
+  let newest = Option.get (Dyngraph.newest_alive g) in
   let targets = Dyngraph.out_targets g newest in
   check_bool "targets identical" true
     (match targets with
@@ -168,8 +146,6 @@ let suite =
     ("bitcoin giant component", `Quick, test_bitcoin_mostly_connected);
     ("bitcoin flood", `Quick, test_bitcoin_flood_completes);
     ("bitcoin address tables", `Quick, test_bitcoin_tables_fill);
-    ("bitcoin time", `Quick, test_bitcoin_time_advances);
-    ("bitcoin newest after newborn dies", `Quick, test_bitcoin_newest_after_newborn_dies);
     ("rw population", `Quick, test_rw_population);
     ("rw connected", `Quick, test_rw_connected);
     ("rw flood", `Quick, test_rw_flood_completes);
