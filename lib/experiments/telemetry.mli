@@ -53,9 +53,11 @@ val measure :
   seed:int -> scale:Scale.t -> ?domains:int -> (unit -> 'a) -> 'a * t
 (** [measure ~seed ~scale f] runs [f ()] and returns its result together
     with the wall-clock/GC telemetry of the call.  [?domains] defaults
-    to [Churnet_util.Parallel.domains_from_env ()].  GC counters come
-    from the calling domain's [Gc.quick_stat], so allocation performed
-    by worker domains is attributed approximately under parallelism.
+    to [Churnet_util.Parallel.domains_from_env ()].  GC counters are the
+    calling domain's [Gc.quick_stat] delta; that includes the counters of
+    every worker domain joined during the call, and
+    [Churnet_util.Parallel.map] joins its workers before it returns, so
+    allocation done on workers is counted too.
     When a {!Churnet_util.Checkpoint} journal is installed the telemetry
     also carries the journal-activity delta across the call. *)
 

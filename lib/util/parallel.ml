@@ -1,8 +1,6 @@
-let recommended_domains () = min 8 (Domain.recommended_domain_count ())
-
 let domains_from_env () =
   match Sys.getenv_opt "CHURNET_DOMAINS" with
-  | None | Some "" -> recommended_domains ()
+  | None | Some "" -> min 8 (Domain.recommended_domain_count ())
   | Some s -> (
       match int_of_string_opt (String.trim s) with
       | Some d when d >= 1 -> d
@@ -43,28 +41,27 @@ let map ?domains f xs =
     if n = 0 then [||]
     else if domains <= 1 || n = 1 then Array.mapi eval xs
     else begin
-      let workers = min domains n in
       let results = Array.make n None in
-      (* First failure wins: later failures in other domains are dropped, and
-         the winning exception is re-raised with its original backtrace. *)
+      (* Self-scheduling: every worker, the calling domain included,
+         claims the next unclaimed index until the input is exhausted or
+         some element has failed.  First failure wins: later failures
+         are dropped, and the winning exception is re-raised with its
+         original backtrace. *)
+      let next = Atomic.make 0 in
       let failure = Atomic.make None in
-      let chunk = (n + workers - 1) / workers in
-      let run lo hi () =
-        try
-          for i = lo to hi do
-            results.(i) <- Some (eval i xs.(i))
-          done
-        with exn ->
-          let bt = Printexc.get_raw_backtrace () in
-          ignore (Atomic.compare_and_set failure None (Some (exn, bt)))
+      let rec work () =
+        let i = Atomic.fetch_and_add next 1 in
+        if i < n && Option.is_none (Atomic.get failure) then begin
+          (try results.(i) <- Some (eval i xs.(i))
+           with exn ->
+             let bt = Printexc.get_raw_backtrace () in
+             ignore (Atomic.compare_and_set failure None (Some (exn, bt))));
+          work ()
+        end
       in
-      let handles =
-        List.init workers (fun w ->
-            let lo = w * chunk in
-            let hi = min (n - 1) (((w + 1) * chunk) - 1) in
-            if lo > hi then None else Some (Domain.spawn (run lo hi)))
-      in
-      List.iter (function Some h -> Domain.join h | None -> ()) handles;
+      let spawned = List.init (min domains n - 1) (fun _ -> Domain.spawn work) in
+      work ();
+      List.iter Domain.join spawned;
       (match Atomic.get failure with
       | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
       | None -> ());
@@ -73,8 +70,6 @@ let map ?domains f xs =
   in
   (match journal with Some j -> Checkpoint.flush j | None -> ());
   results
-
-let init ?domains n f = map ?domains f (Array.init n Fun.id)
 
 let replicate ?domains ~rng ~trials f =
   if trials < 0 then invalid_arg "Parallel.replicate: trials must be >= 0";

@@ -148,6 +148,20 @@ let test_domains_invariance () =
             (Digest.to_hex (Digest.string (read_file path1)))
             (Digest.to_hex (Digest.string (read_file path4)))))
 
+let test_parallel_stores_each_unit_once () =
+  (* Three self-scheduling workers share one journal: every unit is
+     claimed by exactly one of them, so one map stores exactly n units. *)
+  with_tmp (fun path ->
+      let n = 37 in
+      let j = Checkpoint.create ~path ~every:4 ~meta:"once" in
+      let out =
+        with_installed j (fun () -> Parallel.map ~domains:3 (fun x -> x * x) (Array.init n Fun.id))
+      in
+      Checkpoint.finalize j;
+      Alcotest.(check (array int)) "results" (Array.init n (fun x -> x * x)) out;
+      check_int "units stored" n (Checkpoint.stats j).units_stored;
+      check_int "units persisted" n (snd (Checkpoint.inspect path)))
+
 let test_crash_after_fires_at_kth_tick () =
   let fired_at = ref 0 in
   let ticks = ref 0 in
@@ -185,6 +199,7 @@ let suite =
     ("parallel map memoizes", `Quick, test_parallel_memoizes);
     ("site numbering counts empty calls", `Quick, test_site_numbering_counts_empty_calls);
     ("results and journal invariant in domains", `Quick, test_domains_invariance);
+    ("parallel stores each unit once", `Quick, test_parallel_stores_each_unit_once);
     ("crash_after fires at kth tick", `Quick, test_crash_after_fires_at_kth_tick);
     ("cache hits do not tick", `Quick, test_cache_hits_do_not_tick);
   ]

@@ -6,6 +6,7 @@ module Report = Churnet_experiments.Report
 module Scale = Churnet_experiments.Scale
 module Telemetry = Churnet_experiments.Telemetry
 module Json = Churnet_util.Json
+module Parallel = Churnet_util.Parallel
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -203,6 +204,25 @@ let test_cell_peak_rss_attribution () =
         | Some big, Some after -> after >= big
         | _ -> false)
 
+(* Gc.quick_stat on the calling domain folds in the counters of worker
+   domains that have been joined, so a measurement around a parallel map
+   sees (nearly) all the allocation, not just the caller's share. *)
+let test_measure_counts_joined_workers () =
+  let work i = Sys.opaque_identity (List.length (List.init 200_000 (fun k -> k + i))) in
+  let words domains =
+    let _, t =
+      Telemetry.measure ~seed:0 ~scale:Scale.Smoke ~domains (fun () ->
+          Parallel.map ~domains work (Array.init 8 Fun.id))
+    in
+    t.Telemetry.minor_words
+  in
+  let serial = words 1 in
+  let parallel = words 2 in
+  check_bool
+    (Printf.sprintf "2-domain minor words %.0f >= 0.9 x serial %.0f" parallel serial)
+    true
+    (parallel >= 0.9 *. serial)
+
 (* Text rendering must be byte-identical whether or not JSON is emitted:
    same seed, one run through run_all, one through run_timed (+ to_json),
    identical bytes. *)
@@ -231,5 +251,6 @@ let suite =
     ("run_all unknown ids raise", `Quick, test_run_all_unknown_ids_raise);
     ("json schema smoke", `Quick, test_json_schema_smoke);
     ("cell peak rss attribution", `Quick, test_cell_peak_rss_attribution);
+    ("measure counts joined workers", `Quick, test_measure_counts_joined_workers);
     ("render unchanged by json emission", `Quick, test_render_unchanged_by_json_emission);
   ]

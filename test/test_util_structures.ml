@@ -484,12 +484,74 @@ let test_parallel_exception_propagates () =
        false
      with Failure _ -> true)
 
-let test_parallel_init () =
-  Alcotest.(check (array int)) "init" [| 0; 2; 4; 6 |] (Parallel.init ~domains:2 4 (fun i -> 2 * i))
-
 let test_parallel_recommended () =
-  let d = Parallel.recommended_domains () in
+  (* An empty CHURNET_DOMAINS selects the recommended domain count,
+     capped at 8. *)
+  let saved = Sys.getenv_opt "CHURNET_DOMAINS" in
+  Unix.putenv "CHURNET_DOMAINS" "";
+  let d =
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv "CHURNET_DOMAINS" (Option.value ~default:"" saved))
+      Parallel.domains_from_env
+  in
   check_bool "within [1,8]" true (d >= 1 && d <= 8)
+
+let test_parallel_self_scheduling () =
+  (* Element 0 waits for element 1 to start.  Under a static block
+     partition both would sit on one worker and element 1 could never
+     start while element 0 waits; a worker that claims the next free
+     index picks element 1 up at once.  The wait is capped by
+     iterations, not by a clock, so a broken scheduler fails instead of
+     hanging. *)
+  let started = Atomic.make false in
+  let saw_start = ref false in
+  let f i =
+    if i = 1 then Atomic.set started true;
+    if i = 0 then begin
+      let tries = ref 0 in
+      while (not (Atomic.get started)) && !tries < 20_000 do
+        Unix.sleepf 1e-4;
+        incr tries
+      done;
+      saw_start := Atomic.get started
+    end;
+    i
+  in
+  Alcotest.(check (array int)) "results" [| 0; 1; 2; 3 |] (Parallel.map ~domains:2 f [| 0; 1; 2; 3 |]);
+  check_bool "element 1 started while element 0 waited" true !saw_start
+
+let test_parallel_fail_fast () =
+  (* Element 0 fails at once; every other element takes a millisecond.
+     Once the failure is reported no worker claims another element, so
+     only a handful run — not the rest of a block. *)
+  let evaluated = Atomic.make 0 in
+  let f i =
+    Atomic.incr evaluated;
+    if i = 0 then failwith "boom";
+    Unix.sleepf 1e-3;
+    i
+  in
+  check_bool "raises" true
+    (match Parallel.map ~domains:2 f (Array.init 400 Fun.id) with
+    | _ -> false
+    | exception Failure _ -> true);
+  check_bool (Printf.sprintf "%d of 400 evaluated" (Atomic.get evaluated)) true
+    (Atomic.get evaluated < 50)
+
+let parallel_qcheck =
+  [
+    QCheck.Test.make ~name:"parallel map = Array.map, each index once" ~count:60
+      QCheck.(pair (int_range 0 300) (int_range 1 5))
+      (fun (n, domains) ->
+        let calls = Array.init n (fun _ -> Atomic.make 0) in
+        let f i =
+          Atomic.incr calls.(i);
+          (i * 7) + 3
+        in
+        let xs = Array.init n Fun.id in
+        Parallel.map ~domains f xs = Array.map (fun i -> (i * 7) + 3) xs
+        && Array.for_all (fun c -> Atomic.get c = 1) calls);
+  ]
 
 let test_replicate_bit_identical_across_domains () =
   (* The replication layer pre-splits one PRNG per trial in trial order,
@@ -540,10 +602,12 @@ let suite =
       ("parallel order", `Quick, test_parallel_order_preserved);
       ("parallel empty/single", `Quick, test_parallel_empty_and_single);
       ("parallel exceptions", `Quick, test_parallel_exception_propagates);
-      ("parallel init", `Quick, test_parallel_init);
       ("parallel recommended", `Quick, test_parallel_recommended);
+      ("parallel self-scheduling", `Quick, test_parallel_self_scheduling);
+      ("parallel fail-fast", `Quick, test_parallel_fail_fast);
       ("replicate bit-identical across domains", `Quick,
        test_replicate_bit_identical_across_domains);
       ("replicate consumes rng like serial loop", `Quick,
        test_replicate_consumes_rng_like_serial_loop);
     ]
+  @ List.map (QCheck_alcotest.to_alcotest ~verbose:false) parallel_qcheck
