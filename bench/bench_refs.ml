@@ -45,12 +45,18 @@ let timed_with_words f =
      matching in-region [minor_words] entry, making the delta depend on
      where the previous minor-GC boundary happened to fall.  With an
      empty minor heap at t0, everything promoted inside the region was
-     also allocated inside it, so the delta is exact and repeatable. *)
+     also allocated inside it, so the delta is exact and repeatable.
+     The closing minor collection matters once a kernel barely touches
+     the minor heap: the runtime credits direct major-heap allocations
+     to [major_words] only at a collection, so without one the region's
+     large-array allocations land in whichever later region next
+     triggers a collection. *)
   Gc.minor ();
   let w0 = allocated_words () in
   let t0 = Unix.gettimeofday () in
   f ();
   let dt = Unix.gettimeofday () -. t0 in
+  Gc.minor ();
   (dt, allocated_words () -. w0)
 
 (* ------------------------------------------------------------------ *)

@@ -52,19 +52,23 @@ let decide_batch t ~alive ~deadline ~limit ~decisions ~dts =
   let count = ref 0 in
   let pending = ref None in
   let continue = ref (cap > 0) in
+  (* The clock runs in a local (unboxed) float and is stored once at the
+     end: a store to the mutable float field would box on every jump. *)
+  let time = ref t.time in
   while !continue do
     let total_rate = (float_of_int !alive *. t.mu) +. t.lambda in
     let dt = Dist.exponential t.rng total_rate in
-    t.time <- t.time +. dt;
+    time := !time +. dt;
     t.round <- t.round + 1;
     let p_birth = t.lambda /. total_rate in
     let birth = !alive = 0 || Prng.bernoulli t.rng p_birth in
     if birth then t.births <- t.births + 1 else t.deaths <- t.deaths + 1;
-    (* [t.time] here equals the caller's clock plus this jump's [dt] (both
+    (* [!time] here equals the caller's clock plus this jump's [dt] (both
        accumulate the same dts by the same additions in the same order),
        so this comparison is bitwise the one [Poisson_model.run_until_time]
        makes before executing a pre-drawn jump. *)
-    if t.time > deadline then begin
+    if !time > deadline then begin
+      (* lint: allow hot-path-alloc — at most once per batch, on the jump that ends it. *)
       pending := Some ((if birth then Birth else Death), dt);
       continue := false
     end
@@ -76,6 +80,8 @@ let decide_batch t ~alive ~deadline ~limit ~decisions ~dts =
       if !count >= cap then continue := false
     end
   done;
+  t.time <- !time;
+  (* lint: allow hot-path-alloc — one result pair per batch of up to [limit] jumps. *)
   (!count, !pending)
 
 let time t = t.time

@@ -402,6 +402,18 @@ let poisson_round model st =
     Intvec.push candidates other;
     Intvec.push candidates learner
   in
+  (* One in-neighbor visitor per round, reading the informed node from
+     [current]: a closure built per informed node would allocate on
+     every one of them. *)
+  let current = ref (-1) in
+  let visit_in v =
+    let u = !current in
+    if not (bs_mem informed v) then
+      for j = 0 to d - 1 do
+        if Dyngraph.out_slot graph v j = u then
+          push_candidate ~owner:v ~slot:j ~other:u ~learner:v
+      done
+  in
   Bitset.iter
     (fun u ->
       if Dyngraph.is_alive graph u then begin
@@ -410,12 +422,8 @@ let poisson_round model st =
           if w >= 0 && not (bs_mem informed w) then
             push_candidate ~owner:u ~slot:i ~other:w ~learner:w
         done;
-        Dyngraph.iter_in_neighbors graph u (fun v ->
-            if not (bs_mem informed v) then
-              for j = 0 to d - 1 do
-                if Dyngraph.out_slot graph v j = u then
-                  push_candidate ~owner:v ~slot:j ~other:u ~learner:v
-              done)
+        current := u;
+        Dyngraph.iter_in_neighbors graph u visit_in
       end)
     informed;
   (* Advance the churn by one unit of time. *)

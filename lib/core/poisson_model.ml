@@ -116,9 +116,12 @@ let run_batch t ~deadline ~limit =
       ~deadline ~limit ~decisions:t.batch_dec ~dts:t.batch_dts
   in
   Dyngraph.churn_batch t.graph ~decisions:t.batch_dec ~count ~birth0:(round0 + 1);
+  (* Same additions in the same order, accumulated unboxed. *)
+  let time = ref t.time in
   for i = 0 to count - 1 do
-    t.time <- t.time +. t.batch_dts.(i)
+    time := !time +. t.batch_dts.(i)
   done;
+  t.time <- !time;
   t.pending <- pending;
   count
 

@@ -1,4 +1,4 @@
-let exponential rng lambda =
+let[@inline] exponential rng lambda =
   if lambda <= 0. then invalid_arg "Dist.exponential: lambda <= 0";
   (* Inversion; 1 - u avoids log 0. *)
   -.log (1. -. Prng.unit_float rng) /. lambda

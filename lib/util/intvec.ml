@@ -25,13 +25,20 @@ let pop t =
   t.len <- t.len - 1;
   t.buf.(t.len)
 
-let mem t v =
-  let rec go i = i < t.len && (t.buf.(i) = v || go (i + 1)) in
-  go 0
+(* [mem] and [swap_remove_first] run on every neighbor visit and edge
+   repair, so they scan with a plain loop: a local [let rec] closing over
+   [t] and [v] would allocate a closure per call. *)
+let index t v =
+  let i = ref 0 in
+  while !i < t.len && t.buf.(!i) <> v do
+    incr i
+  done;
+  if !i < t.len then !i else -1
+
+let mem t v = index t v >= 0
 
 let swap_remove_first t v =
-  let rec find i = if i >= t.len then -1 else if t.buf.(i) = v then i else find (i + 1) in
-  let i = find 0 in
+  let i = index t v in
   if i < 0 then false
   else begin
     t.len <- t.len - 1;

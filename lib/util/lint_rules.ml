@@ -554,14 +554,16 @@ let no_io_transitive =
 (* hot-path-alloc                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* The registered kernel entry points: the flooding round kernels, the
-   churn jump kernels (add_node + kill ARE the jump: the paper's churn
-   process replaces a killed node by a fresh birth), and the per-
-   candidate expansion scorer. *)
+(* The registered kernel entry points: the flooding round kernels
+   (including the Poisson round, which also reaches the batched churn
+   runner), the churn jump kernels (add_node + kill ARE the jump: the
+   paper's churn process replaces a killed node by a fresh birth;
+   churn_batch applies a pre-drawn run of them), and the per-candidate
+   expansion scorer. *)
 let kernel_entries (d : Lint_graph.def) =
   let m = d.Lint_graph.d_module and x = d.Lint_graph.d_name in
-  (m = "Flood" && has_prefix "expand_informed" x)
-  || (m = "Dyngraph" && (x = "add_node" || x = "kill"))
+  (m = "Flood" && (has_prefix "expand_informed" x || x = "poisson_round"))
+  || (m = "Dyngraph" && (x = "add_node" || x = "kill" || x = "churn_batch"))
   || (m = "Probe" && x = "consider")
 
 let alloc_list_combinators =
@@ -577,8 +579,9 @@ let hot_path_alloc =
     name;
     doc =
       "functions reachable from the kernel entry points \
-       (Flood.expand_informed*, Dyngraph.add_node/kill, Probe.consider) \
-       must not allocate per element: no List combinators, per-iteration \
+       (Flood.expand_informed*/poisson_round, \
+       Dyngraph.add_node/kill/churn_batch, Probe.consider) must not \
+       allocate per element: no List combinators, per-iteration \
        closures, tuples or partial applications";
     check =
       Project

@@ -1,4 +1,20 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The four xoshiro256** words live unboxed in one 32-byte buffer (s0 at
+   offset 0, s1 at 8, s2 at 16, s3 at 24), read and written in native
+   byte order.  A record of [mutable int64] fields would box every store;
+   these primitives compile to plain loads and stores, so a draw whose
+   result is consumed unboxed allocates nothing. *)
+type t = Bytes.t
+
+external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let of_words s0 s1 s2 s3 =
+  let t = Bytes.create 32 in
+  set t 0 s0;
+  set t 8 s1;
+  set t 16 s2;
+  set t 24 s3;
+  t
 
 (* SplitMix64 step, used only for seeding so that nearby seeds yield
    unrelated xoshiro states. *)
@@ -16,44 +32,48 @@ let create seed =
   let s1 = splitmix64 state in
   let s2 = splitmix64 state in
   let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+  of_words s0 s1 s2 s3
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
+let[@inline] bits64 t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get t 0 and s1 = get t 8 and s2 = get t 16 and s3 = get t 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let tmp = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  set t 0 s0;
+  set t 8 s1;
+  set t 16 (logxor s2 tmp);
+  set t 24 (rotl s3 45);
   result
 
 let split t =
   let seed = Int64.to_int (bits64 t) in
   create seed
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
   (* Rejection sampling on the top 62 bits (what fits a native int)
      to avoid modulo bias. *)
-  let rec go () =
-    let r = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
-    let v = r mod bound in
-    if r - v > max_int - bound + 1 then go () else v
-  in
-  go ()
+  let r = ref (Int64.to_int (Int64.shift_right_logical (bits64 t) 2)) in
+  let v = ref (!r mod bound) in
+  while !r - !v > max_int - bound + 1 do
+    r := Int64.to_int (Int64.shift_right_logical (bits64 t) 2);
+    v := !r mod bound
+  done;
+  !v
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Prng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let unit_float t =
+let[@inline] unit_float t =
   (* 53 random bits scaled to [0,1). *)
   let r = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   r *. 0x1.0p-53
@@ -105,14 +125,14 @@ let choose t a =
 
 (* Checkpoint support: the full state is the four xoshiro words. *)
 let encode w t =
-  Codec.i64 w t.s0;
-  Codec.i64 w t.s1;
-  Codec.i64 w t.s2;
-  Codec.i64 w t.s3
+  Codec.i64 w (get t 0);
+  Codec.i64 w (get t 8);
+  Codec.i64 w (get t 16);
+  Codec.i64 w (get t 24)
 
 let decode r =
   let s0 = Codec.read_i64 r in
   let s1 = Codec.read_i64 r in
   let s2 = Codec.read_i64 r in
   let s3 = Codec.read_i64 r in
-  { s0; s1; s2; s3 }
+  of_words s0 s1 s2 s3

@@ -4,7 +4,15 @@
     every simulation is reproducible from a single 64-bit seed.  The
     generator is xoshiro256** seeded through SplitMix64, the standard
     recommendation of Blackman & Vigna; it is fast, has a 2^256 - 1 period
-    and passes BigCrush. *)
+    and passes BigCrush.
+
+    The state is the four 64-bit xoshiro words, stored unboxed in one
+    32-byte buffer, so stepping the generator allocates nothing: draws
+    that return an [int] or a [bool] ({!int}, {!int_in}, {!bool},
+    {!bernoulli}) allocate no words in any build.  In release builds,
+    where [bits64] and {!unit_float} inline across modules, the float
+    draws allocate nothing either; a call that is not inlined into its
+    caller still boxes the [float] or [int64] it returns. *)
 
 type t
 (** Mutable generator state. *)

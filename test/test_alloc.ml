@@ -1,0 +1,78 @@
+(* Allocation budgets for the draw -> churn -> flood hot path, measured
+   as exact GC word counts on one domain.  The PRNG and the arena scans
+   must allocate nothing at all; a Poisson jump may allocate only the
+   few words that cross a non-inlined module boundary as boxed floats
+   (the dev profile compiles each library opaquely). *)
+
+open Churnet_util
+module Poisson_model = Churnet_core.Poisson_model
+
+(* Words allocated by [f ()] on the minor heap plus those allocated
+   directly on the major heap, net of the measurement's own cost.  The
+   minor collections bracket the region because the runtime credits
+   direct major allocations to the counters only at a collection. *)
+let words f =
+  Gc.minor ();
+  let minor0, promoted0, major0 = Gc.counters () in
+  f ();
+  Gc.minor ();
+  let minor1, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+
+let net_words f = words f -. words (fun () -> ())
+let calls = 100_000
+
+let check_zero name f = Alcotest.(check (float 0.)) (name ^ " allocates nothing") 0. (net_words f)
+
+let test_prng_int () =
+  let rng = Prng.create 1 in
+  check_zero "Prng.int" (fun () ->
+      for i = 1 to calls do
+        ignore (Prng.int rng i)
+      done)
+
+let test_prng_bernoulli () =
+  let rng = Prng.create 2 in
+  check_zero "Prng.bernoulli" (fun () ->
+      for _ = 1 to calls do
+        ignore (Prng.bernoulli rng 0.3)
+      done)
+
+let test_intvec_mem () =
+  let v = Intvec.create () in
+  for x = 0 to 15 do
+    Intvec.push v x
+  done;
+  check_zero "Intvec.mem" (fun () ->
+      for i = 1 to calls do
+        ignore (Intvec.mem v (i land 31))
+      done)
+
+let test_intvec_swap_remove_first () =
+  let v = Intvec.create ~capacity:calls () in
+  for x = 1 to calls do
+    Intvec.push v x
+  done;
+  check_zero "Intvec.swap_remove_first" (fun () ->
+      for _ = 1 to calls do
+        ignore (Intvec.swap_remove_first v (Intvec.get v 0))
+      done);
+  Alcotest.(check int) "emptied" 0 (Intvec.length v)
+
+let test_poisson_jump_budget () =
+  let n = 10_000 in
+  let m = Poisson_model.create ~rng:(Prng.create 3) ~n ~d:4 ~regenerate:true () in
+  Poisson_model.warm_up m;
+  let jumps = 100_000 in
+  let per_jump = net_words (fun () -> Poisson_model.run_rounds m jumps) /. float_of_int jumps in
+  if per_jump >= 16. then
+    Alcotest.failf "PDGR jump allocates %.2f words (budget 16)" per_jump
+
+let suite =
+  [
+    ("Prng.int", `Quick, test_prng_int);
+    ("Prng.bernoulli", `Quick, test_prng_bernoulli);
+    ("Intvec.mem", `Quick, test_intvec_mem);
+    ("Intvec.swap_remove_first", `Quick, test_intvec_swap_remove_first);
+    ("Poisson jump budget", `Quick, test_poisson_jump_budget);
+  ]

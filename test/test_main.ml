@@ -3,6 +3,7 @@ let () =
     [
       ("prng", Test_prng.suite);
       ("dist", Test_dist.suite);
+      ("alloc-budget", Test_alloc.suite);
       ("stats", Test_stats.suite);
       ("json", Test_json.suite);
       ("util-structures", Test_util_structures.suite);

@@ -164,6 +164,59 @@ let test_choose () =
     check_bool "member" true (Array.mem v a)
   done
 
+(* Known answers: outputs of the xoshiro256** stream as first emitted by
+   the generator, pinned as literals so that any change to how the state
+   is stored or stepped must reproduce the exact stream, not merely a
+   self-consistent one. *)
+let test_known_bits64 () =
+  let expect seed outputs =
+    let g = Prng.create seed in
+    List.iteri
+      (fun i x ->
+        Alcotest.(check int64) (Printf.sprintf "seed %d draw %d" seed i) x (Prng.bits64 g))
+      outputs
+  in
+  expect 0
+    [
+      -7355399402456485196L; -4652746763540216534L; 1900383378846508768L;
+      7684712102626143532L; -4925340083591827879L; -4640532413560118L;
+      7788427924976520344L; -8565655843838424513L;
+    ];
+  expect 42
+    [
+      1546998764402558742L; 6990951692964543102L; -5902157311460992607L;
+      -1389169964527427423L; -151191095644234140L; -4247557243643801032L;
+      -5178765164775350862L; -2766855848391737209L;
+    ]
+
+let test_known_int_and_float () =
+  let g = Prng.create 7 in
+  List.iter2
+    (fun bound x -> check_int (Printf.sprintf "int %d" bound) x (Prng.int g bound))
+    [ 1; 2; 3; 10; 1000; 1_000_003; max_int; 1 lsl 61 ]
+    [ 0; 0; 1; 6; 166; 839782; 280169515587409429; 481625069074503799 ];
+  List.iteri
+    (fun i x -> Alcotest.(check (float 0.)) (Printf.sprintf "unit_float %d" i) x (Prng.unit_float g))
+    [
+      0x1.9d653e5b2b22p-2; 0x1.36eb5d000c7p-3; 0x1.152e2245ac3ecp-1;
+      0x1.76b61e7123e53p-1; 0x1.e0c019551aeb1p-1; 0x1.c2fedefd1598fp-1;
+      0x1.ce40f4150367p-2; 0x1.1f2b8c2203096p-1;
+    ]
+
+let hex_of_encoding g =
+  let w = Codec.writer () in
+  Prng.encode w g;
+  String.concat ""
+    (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq (Codec.contents w))))
+
+let test_known_split_encoding () =
+  let parent = Prng.create 42 in
+  let child = Prng.split parent in
+  Alcotest.(check string) "parent after split"
+    "027cc793ea3024cdc400828e42b66ad2c7f1e2debc31e23c859759601eee5282" (hex_of_encoding parent);
+  Alcotest.(check string) "split child"
+    "21fb1c6975f3fc1280a1304280ba11fe9283b708a4fc4801547ff5c9edba9902" (hex_of_encoding child)
+
 let qcheck_props =
   [
     QCheck.Test.make ~name:"int always in bound" ~count:500
@@ -215,5 +268,8 @@ let suite =
     ("sample w/o replacement full", `Quick, test_swr_full);
     ("sample paths", `Quick, test_swr_dense_and_sparse_paths);
     ("choose membership", `Quick, test_choose);
+    ("known bits64 stream", `Quick, test_known_bits64);
+    ("known int and unit_float", `Quick, test_known_int_and_float);
+    ("known split encoding", `Quick, test_known_split_encoding);
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~verbose:false) qcheck_props
