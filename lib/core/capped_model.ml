@@ -5,6 +5,7 @@ type t = {
   cap : int;
   retries : int;
   deficient : (int, unit) Hashtbl.t; (* nodes with empty slots to repair *)
+  pending : Worklist.t; (* scratch for the repair pass and the death rule *)
 }
 
 let create ~rng ?(retries = 16) ~n ~d ~cap () =
@@ -14,37 +15,37 @@ let create ~rng ?(retries = 16) ~n ~d ~cap () =
     cap;
     retries;
     deficient = Hashtbl.create 256;
+    pending = Worklist.create ();
   }
 
 let graph t = Poisson_model.graph t.base
 
-(* Sample a uniform alive candidate below the in-degree cap. *)
+(* Sample a uniform alive candidate below the in-degree cap; -1 when
+   the retry budget runs out. *)
 let sample_below_cap t ~self =
   let g = graph t in
-  if Dyngraph.alive_count g < 2 then None
+  if Dyngraph.alive_count g < 2 then -1
   else begin
-    let rec go tries =
-      if tries = 0 then None
-      else begin
-        let cand = Dyngraph.random_alive g in
-        if cand <> self && Dyngraph.in_degree g cand < t.cap then Some cand
-        else go (tries - 1)
-      end
-    in
-    go t.retries
+    let found = ref (-1) and tries = ref t.retries in
+    while !found < 0 && !tries > 0 do
+      decr tries;
+      let cand = Dyngraph.random_alive g in
+      if cand <> self && Dyngraph.in_degree_below g cand t.cap then found := cand
+    done;
+    !found
   end
+
+let missing t id = Poisson_model.d t.base - Dyngraph.out_degree (graph t) id
 
 let try_fill t id =
   let g = graph t in
   if Dyngraph.is_alive g id then begin
-    let missing () = Poisson_model.d t.base - Dyngraph.out_degree g id in
     let progress = ref true in
-    while missing () > 0 && !progress do
-      match sample_below_cap t ~self:id with
-      | Some cand -> if not (Dyngraph.connect g ~src:id ~dst:cand) then progress := false
-      | None -> progress := false
+    while missing t id > 0 && !progress do
+      let cand = sample_below_cap t ~self:id in
+      if cand < 0 || not (Dyngraph.connect g ~src:id ~dst:cand) then progress := false
     done;
-    if missing () > 0 then Hashtbl.replace t.deficient id ()
+    if missing t id > 0 then Hashtbl.replace t.deficient id ()
     else Hashtbl.remove t.deficient id
   end
   else Hashtbl.remove t.deficient id
@@ -56,21 +57,13 @@ let birth t round =
   let id = Dyngraph.add_node_with_targets (graph t) ~birth:round ~targets:[||] in
   Hashtbl.replace t.deficient id ()
 
-let death t victim =
-  let g = graph t in
-  let orphans = Dyngraph.in_neighbors g victim in
-  Dyngraph.kill g victim;
-  Hashtbl.remove t.deficient victim;
-  List.iter (fun u -> if Dyngraph.is_alive g u then Hashtbl.replace t.deficient u ()) orphans
+let death t victim = Worklist.kill_and_mark t.pending (graph t) t.deficient victim
 
 let step t =
   Poisson_model.step_with t.base ~birth ~death t;
   (* Repair pass. *)
-  (* lint: allow no-hashtbl-order — repair order follows the table's
-     insertion history, itself a pure function of the seed; replays are
-     bit-identical. *)
-  let pending = Hashtbl.fold (fun id () acc -> id :: acc) t.deficient [] in
-  List.iter (try_fill t) pending
+  Worklist.load t.pending t.deficient;
+  Worklist.iter t.pending (try_fill t)
 
 let warm_up t =
   for _ = 1 to 12 * Poisson_model.n t.base do
@@ -102,7 +95,6 @@ let parked_slots t =
   (* lint: allow no-hashtbl-order — pure sum over entries; addition commutes. *)
   Hashtbl.iter
     (fun id () ->
-      if Dyngraph.is_alive g id then
-        acc := !acc + (Poisson_model.d t.base - Dyngraph.out_degree g id))
+      if Dyngraph.is_alive g id then acc := !acc + missing t id)
     t.deficient;
   !acc

@@ -1,5 +1,4 @@
 module Dyngraph = Churnet_graph.Dyngraph
-module Prng = Churnet_util.Prng
 
 type strategy = Push | Pull | Push_pull
 
@@ -51,11 +50,6 @@ let run ?max_rounds ~rng ~strategy model =
   let extinct = ref false in
   let extinction_round = ref None in
   let r = ref 0 in
-  let random_neighbor id =
-    match Dyngraph.neighbors graph id with
-    | [] -> None
-    | neigh -> Some (Prng.choose rng (Array.of_list neigh))
-  in
   while (not !completed) && (not !extinct) && !r < max_rounds do
     incr r;
     (* Exchanges happen on the snapshot at the start of the round. *)
@@ -67,21 +61,21 @@ let run ?max_rounds ~rng ~strategy model =
       Hashtbl.iter
         (fun u () ->
           if Dyngraph.is_alive graph u then begin
-            match random_neighbor u with
-            | Some v ->
-                incr messages;
-                if not (Hashtbl.mem informed v) then newly := v :: !newly
-            | None -> ()
+            let v = Dyngraph.random_neighbor graph rng u in
+            if v >= 0 then begin
+              incr messages;
+              if not (Hashtbl.mem informed v) then newly := v :: !newly
+            end
           end)
         informed;
     if strategy = Pull || strategy = Push_pull then
       Dyngraph.iter_alive graph (fun v ->
           if not (Hashtbl.mem informed v) then begin
-            match random_neighbor v with
-            | Some u ->
-                incr messages;
-                if Hashtbl.mem informed u then newly := v :: !newly
-            | None -> ()
+            let u = Dyngraph.random_neighbor graph rng v in
+            if u >= 0 then begin
+              incr messages;
+              if Hashtbl.mem informed u then newly := v :: !newly
+            end
           end);
     List.iter (fun v -> Hashtbl.replace informed v ()) !newly;
     (* Churn advances one round / unit of time. *)

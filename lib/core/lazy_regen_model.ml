@@ -4,6 +4,7 @@ type t = {
   base : Poisson_model.t;
   period : float;
   broken : (int, unit) Hashtbl.t; (* nodes with empty slots awaiting repair *)
+  pending : Worklist.t; (* scratch for the maintenance tick and the death rule *)
   mutable next_tick : float;
 }
 
@@ -13,52 +14,48 @@ let create ~rng ~n ~d ~period () =
     base = Poisson_model.create ~rng ~n ~d ~regenerate:false ();
     period;
     broken = Hashtbl.create 256;
+    pending = Worklist.create ();
     next_tick = period;
   }
 
 let graph t = Poisson_model.graph t.base
 
+(* A uniform alive node other than [id] within 8 draws; -1 otherwise. *)
+let pick_other g id =
+  let cand = ref (-1) and tries = ref 8 in
+  while !cand < 0 && !tries > 0 do
+    decr tries;
+    let c = Dyngraph.random_alive g in
+    if c <> id then cand := c
+  done;
+  !cand
+
+let missing t id = Poisson_model.d t.base - Dyngraph.out_degree (graph t) id
+
 let repair t id =
   let g = graph t in
   if Dyngraph.is_alive g id then begin
-    let missing () = Poisson_model.d t.base - Dyngraph.out_degree g id in
     let progress = ref true in
-    while missing () > 0 && !progress do
+    while missing t id > 0 && !progress do
       if Dyngraph.alive_count g < 2 then progress := false
       else begin
-        let rec pick tries =
-          if tries = 0 then None
-          else begin
-            let cand = Dyngraph.random_alive g in
-            if cand <> id then Some cand else pick (tries - 1)
-          end
-        in
-        match pick 8 with
-        | Some cand -> if not (Dyngraph.connect g ~src:id ~dst:cand) then progress := false
-        | None -> progress := false
+        let cand = pick_other g id in
+        if cand < 0 || not (Dyngraph.connect g ~src:id ~dst:cand) then progress := false
       end
     done
   end
 
 let maintenance t =
-  (* lint: allow no-hashtbl-order — repair order follows the table's
-     insertion history, itself a pure function of the seed; replays are
-     bit-identical. *)
-  let pending = Hashtbl.fold (fun id () acc -> id :: acc) t.broken [] in
+  Worklist.load t.pending t.broken;
   Hashtbl.reset t.broken;
-  List.iter (repair t) pending
+  Worklist.iter t.pending (repair t)
 
 (* The churn rule's death half: PDG's plain removal, except that each
    in-neighbor's lost slot is logged for the next maintenance tick.
    Births are PDG's uniform requests. *)
 let add_uniform t round = ignore (Dyngraph.add_node (graph t) ~birth:round)
 
-let death t victim =
-  let g = graph t in
-  let orphans = Dyngraph.in_neighbors g victim in
-  Dyngraph.kill g victim;
-  Hashtbl.remove t.broken victim;
-  List.iter (fun u -> if Dyngraph.is_alive g u then Hashtbl.replace t.broken u ()) orphans
+let death t victim = Worklist.kill_and_mark t.pending (graph t) t.broken victim
 
 let step t =
   Poisson_model.step_with t.base ~birth:add_uniform ~death t;
@@ -87,7 +84,6 @@ let broken_slots t =
   (* lint: allow no-hashtbl-order — pure sum over entries; addition commutes. *)
   Hashtbl.iter
     (fun id () ->
-      if Dyngraph.is_alive g id then
-        acc := !acc + (Poisson_model.d t.base - Dyngraph.out_degree g id))
+      if Dyngraph.is_alive g id then acc := !acc + missing t id)
     t.broken;
   !acc

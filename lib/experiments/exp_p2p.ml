@@ -3,6 +3,7 @@
 
 open Churnet_core
 module Prng = Churnet_util.Prng
+module Parallel = Churnet_util.Parallel
 module Table = Churnet_util.Table
 module Stats = Churnet_util.Stats
 module Snapshot = Churnet_graph.Snapshot
@@ -23,13 +24,13 @@ let f10 ~seed ~scale =
   let rng = Prng.create seed in
   let summarize name mk_flood mk_snapshot =
     let rounds_acc = Stats.Acc.create () and cov_acc = Stats.Acc.create () in
-    for _ = 1 to trials do
-      let tr : Flood.trace = mk_flood (Prng.split rng) in
-      (match tr.completion_round with
-      | Some r -> Stats.Acc.add_int rounds_acc r
-      | None -> ());
-      Stats.Acc.add cov_acc tr.peak_coverage
-    done;
+    Array.iter
+      (fun (tr : Flood.trace) ->
+        (match tr.completion_round with
+        | Some r -> Stats.Acc.add_int rounds_acc r
+        | None -> ());
+        Stats.Acc.add cov_acc tr.peak_coverage)
+      (Parallel.replicate ~rng ~trials mk_flood);
     let s : Snapshot.t = mk_snapshot (Prng.split rng) in
     {
       name;

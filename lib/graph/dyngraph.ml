@@ -47,12 +47,14 @@ type t = {
   mutable next_id : int;
   mutable kill_srcs : int array; (* scratch for kill's canonical regen order *)
   mutable kill_cnts : int array; (* per-src slot multiplicity, parallel to kill_srcs *)
+  mutable nbr_scratch : int array; (* sorted_scratch's deduped neighbourhood run *)
   mutable edge_hook : (src:node_id -> dst:node_id -> unit) option;
   mutable death_hook : (node_id -> unit) option;
   mutable birth_hook : (node_id -> birth:int -> unit) option;
 }
 
 let initial_cap = 256
+let nbr_scratch_cap = 32
 
 let create ~rng ~d ~regenerate () =
   if d <= 0 then invalid_arg "Dyngraph.create: d must be positive";
@@ -79,6 +81,7 @@ let create ~rng ~d ~regenerate () =
     next_id = 0;
     kill_srcs = Array.make 16 0;
     kill_cnts = Array.make 16 0;
+    nbr_scratch = Array.make nbr_scratch_cap 0;
     edge_hook = None;
     death_hook = None;
     birth_hook = None;
@@ -334,7 +337,26 @@ let distinct_count v =
 
 let in_degree t id = distinct_count t.in_edges.(get_slot t id)
 
-let sort_range a lo n =
+(* The raw entry count bounds the distinct count from above, so a node
+   with fewer raw entries than [cap] is below it without the O(k^2)
+   distinct scan. *)
+let in_degree_below t id cap =
+  let inv = t.in_edges.(get_slot t id) in
+  Intvec.length inv < cap || distinct_count inv < cap
+
+(* A fresh scratch array replacing [a] that holds at least [k] cells:
+   [a]'s length doubled until it fits (contents not kept).  Callers test
+   the length first, so the hot path stores no pointer. *)
+let grown a k =
+  let n = ref (Array.length a) in
+  while !n < k do
+    n := 2 * !n
+  done;
+  Array.make !n 0
+
+(* Insertion sort of [a.(lo) .. a.(lo + n - 1)].  The annotation keeps
+   the comparison an integer one; left polymorphic, it is a C call. *)
+let sort_range (a : int array) lo n =
   for i = lo + 1 to lo + n - 1 do
     let v = a.(i) in
     let j = ref (i - 1) in
@@ -372,12 +394,8 @@ let kill t id =
   let k = Intvec.length inv in
   if k > 0 then begin
     if Array.length t.kill_srcs < k then begin
-      let n = ref (Array.length t.kill_srcs) in
-      while !n < k do
-        n := 2 * !n
-      done;
-      t.kill_srcs <- Array.make !n 0;
-      t.kill_cnts <- Array.make !n 0
+      t.kill_srcs <- grown t.kill_srcs k;
+      t.kill_cnts <- grown t.kill_cnts k
     end;
     let srcs = t.kill_srcs and cnts = t.kill_cnts in
     for i = 0 to k - 1 do
@@ -506,6 +524,53 @@ let neighbors t id =
   done;
   Intvec.iter (fun src -> acc := src :: !acc) t.in_edges.(s);
   List.sort_uniq Int.compare !acc
+
+(* Sort the raw neighbourhood of slot [s] — its non-empty out-slots
+   when [with_out], then its raw in-edge entries — into the arena's
+   scratch and dedup it in place; returns the distinct count.  Runs are
+   of the order of d, where insertion sort beats any allocated structure.
+   The scratch lives in the arena, not in the module, so graphs driven on
+   different domains never share it. *)
+let sorted_scratch t s ~with_out =
+  let row = s * t.d in
+  let inv = t.in_edges.(s) in
+  let k = Intvec.length inv in
+  if Array.length t.nbr_scratch < t.d + k then t.nbr_scratch <- grown t.nbr_scratch (t.d + k);
+  let a = t.nbr_scratch in
+  let n = ref 0 in
+  if with_out then
+    for i = 0 to t.d - 1 do
+      let v = t.out.(row + i) in
+      if v >= 0 then begin
+        a.(!n) <- v;
+        incr n
+      end
+    done;
+  for i = 0 to k - 1 do
+    a.(!n) <- Intvec.get inv i;
+    incr n
+  done;
+  sort_range a 0 !n;
+  let m = ref 0 in
+  for i = 0 to !n - 1 do
+    if i = 0 || a.(i) <> a.(i - 1) then begin
+      a.(!m) <- a.(i);
+      incr m
+    end
+  done;
+  !m
+
+(* [Prng.choose rng (Array.of_list (neighbors t id))] without the list,
+   with the same single [Prng.int] draw. *)
+let random_neighbor t rng id =
+  let m = sorted_scratch t (get_slot t id) ~with_out:true in
+  if m = 0 then -1 else t.nbr_scratch.(Prng.int rng m)
+
+let in_neighbors_into t id into =
+  let m = sorted_scratch t (get_slot t id) ~with_out:false in
+  for i = 0 to m - 1 do
+    Intvec.push into t.nbr_scratch.(i)
+  done
 
 (* Allocation-free neighborhood iteration for the simulation hot loops.
    Distinctness without a scratch set: an out-slot target is skipped when
@@ -734,7 +799,7 @@ module Codec = Churnet_util.Codec
    indexes into, and the id-window base shifts nothing observable but is
    kept so a decode/encode cycle is byte-identical.  Deliberately NOT
    serialized: the three hooks (observers re-attach after resume) and
-   the kill_srcs scratch buffer (rebuilt empty). *)
+   the kill and random_neighbor scratch buffers (rebuilt empty). *)
 let encode w t =
   Codec.varint w t.d;
   Codec.bool w t.regenerate;
@@ -841,6 +906,7 @@ let decode r =
       next_id;
       kill_srcs = Array.make 16 0;
       kill_cnts = Array.make 16 0;
+      nbr_scratch = Array.make nbr_scratch_cap 0;
       edge_hook = None;
       death_hook = None;
       birth_hook = None;

@@ -84,6 +84,10 @@ val disconnect : t -> src:node_id -> dst:node_id -> bool
 val in_degree : t -> node_id -> int
 (** Number of distinct alive in-neighbors. *)
 
+val in_degree_below : t -> node_id -> int -> bool
+(** [in_degree_below t id cap] is [in_degree t id < cap], answered from
+    the raw in-edge count when that alone is below [cap]. *)
+
 val kill : t -> node_id -> unit
 (** Death: remove the node and all incident edges; trigger regeneration on
     surviving in-neighbors if enabled.  In-neighbors regenerate
@@ -135,8 +139,20 @@ val out_slot : t -> node_id -> int -> node_id
 val in_neighbors : t -> node_id -> node_id list
 (** Distinct alive in-neighbors, sorted ascending. *)
 
+val in_neighbors_into : t -> node_id -> Churnet_util.Intvec.t -> unit
+(** [in_neighbors_into t id v] appends {!in_neighbors}[ t id] (distinct,
+    ascending) to [v] without building a list. *)
+
 val neighbors : t -> node_id -> node_id list
 (** Distinct neighbors = out targets U in-neighbors, sorted ascending. *)
+
+val random_neighbor : t -> Churnet_util.Prng.t -> node_id -> node_id
+(** [random_neighbor t rng id] is a uniform distinct neighbor of [id],
+    or -1 when it has none (no draw is taken then).  It returns exactly
+    [Prng.choose rng (Array.of_list (neighbors t id))] and consumes the
+    same single [Prng.int] draw, without allocating: the neighborhood is
+    sorted in a scratch buffer owned by the arena, so one graph must not
+    be queried from two domains at once. *)
 
 val iter_neighbors : t -> node_id -> (node_id -> unit) -> unit
 (** [iter_neighbors t id f] calls [f] exactly once per distinct neighbor

@@ -1,6 +1,7 @@
 module Dyngraph = Churnet_graph.Dyngraph
 module Poisson_model = Churnet_core.Poisson_model
 module Prng = Churnet_util.Prng
+module Worklist = Churnet_core.Worklist
 
 type peer_state = {
   table : int array; (* known addresses; -1 = empty entry *)
@@ -20,6 +21,7 @@ type t = {
   rng : Prng.t;
   peers : (int, peer_state) Hashtbl.t;
   deficient : (int, unit) Hashtbl.t; (* nodes below target out-degree *)
+  pending : Worklist.t; (* scratch for the maintenance pass and the death rule *)
 }
 
 let create ~rng ?(max_in = 125) ~n () =
@@ -29,74 +31,89 @@ let create ~rng ?(max_in = 125) ~n () =
     rng;
     peers = Hashtbl.create 1024;
     deficient = Hashtbl.create 256;
+    pending = Worklist.create ();
   }
 
 let graph t = Poisson_model.graph t.base
 
+(* Position of [addr] in the filled prefix of the table, -1 if absent.
+   Entries past [fill] are always -1, and addresses are node ids >= 0. *)
+let table_index peer addr =
+  let idx = ref (-1) in
+  for i = 0 to peer.fill - 1 do
+    if peer.table.(i) = addr then idx := i
+  done;
+  !idx
+
 let table_insert t peer addr =
-  if addr >= 0 then begin
-    let exists = Array.exists (fun a -> a = addr) peer.table in
-    if not exists then
-      if peer.fill < table_size then begin
-        peer.table.(peer.fill) <- addr;
-        peer.fill <- peer.fill + 1
-      end
-      else begin
-        (* Random replacement keeps the table a moving sample. *)
-        let i = Prng.int t.rng table_size in
-        peer.table.(i) <- addr
-      end
-  end
+  if addr >= 0 && table_index peer addr < 0 then
+    if peer.fill < table_size then begin
+      peer.table.(peer.fill) <- addr;
+      peer.fill <- peer.fill + 1
+    end
+    else begin
+      (* Random replacement keeps the table a moving sample. *)
+      let i = Prng.int t.rng table_size in
+      peer.table.(i) <- addr
+    end
 
-let table_random t peer =
-  if peer.fill = 0 then None else Some peer.table.(Prng.int t.rng peer.fill)
-
-let peer_of t id = Hashtbl.find_opt t.peers id
+(* A uniform table entry, -1 for an empty table. *)
+let table_random t peer = if peer.fill = 0 then -1 else peer.table.(Prng.int t.rng peer.fill)
 
 (* Connected peers advertise a few random table entries to each other. *)
 let gossip t a b =
-  match (peer_of t a, peer_of t b) with
-  | Some pa, Some pb ->
-      for _ = 1 to gossip_size do
-        (match table_random t pa with Some addr -> table_insert t pb addr | None -> ());
-        match table_random t pb with Some addr -> table_insert t pa addr | None -> ()
-      done;
-      table_insert t pa b;
-      table_insert t pb a
-  | _ -> ()
+  match Hashtbl.find t.peers a with
+  | exception Not_found -> ()
+  | pa -> (
+      match Hashtbl.find t.peers b with
+      | exception Not_found -> ()
+      | pb ->
+          for _ = 1 to gossip_size do
+            table_insert t pb (table_random t pa);
+            table_insert t pa (table_random t pb)
+          done;
+          table_insert t pa b;
+          table_insert t pb a)
+
+(* Whether an out-slot of [id] already points at [cand]. *)
+let links_to g id cand =
+  let found = ref false in
+  for i = 0 to target_out - 1 do
+    if Dyngraph.out_slot g id i = cand then found := true
+  done;
+  !found
+
+let missing t id = target_out - Dyngraph.out_degree (graph t) id
 
 let try_fill t id =
-  match peer_of t id with
-  | None -> ()
-  | Some peer ->
+  match Hashtbl.find t.peers id with
+  | exception Not_found -> ()
+  | peer ->
       let g = graph t in
-      let missing () = target_out - Dyngraph.out_degree g id in
       let attempts = ref (4 * target_out) in
-      while missing () > 0 && !attempts > 0 do
+      while missing t id > 0 && !attempts > 0 do
         decr attempts;
-        match table_random t peer with
-        | None -> attempts := 0
-        | Some cand ->
-            if
-              cand <> id
-              && Dyngraph.is_alive g cand
-              && Dyngraph.in_degree g cand < t.max_in
-              && not (List.mem cand (Dyngraph.out_targets g id))
-            then begin
-              if Dyngraph.connect g ~src:id ~dst:cand then gossip t id cand
-            end
-            else if not (Dyngraph.is_alive g cand) then begin
-              (* Forget a dead address. *)
-              let idx = ref (-1) in
-              Array.iteri (fun i a -> if a = cand then idx := i) peer.table;
-              if !idx >= 0 then begin
-                peer.table.(!idx) <- peer.table.(peer.fill - 1);
-                peer.table.(peer.fill - 1) <- -1;
-                peer.fill <- peer.fill - 1
-              end
-            end
+        let cand = table_random t peer in
+        if cand < 0 then attempts := 0
+        else if
+          cand <> id
+          && Dyngraph.is_alive g cand
+          && Dyngraph.in_degree_below g cand t.max_in
+          && not (links_to g id cand)
+        then begin
+          if Dyngraph.connect g ~src:id ~dst:cand then gossip t id cand
+        end
+        else if not (Dyngraph.is_alive g cand) then begin
+          (* Forget a dead address. *)
+          let idx = table_index peer cand in
+          if idx >= 0 then begin
+            peer.table.(idx) <- peer.table.(peer.fill - 1);
+            peer.table.(peer.fill - 1) <- -1;
+            peer.fill <- peer.fill - 1
+          end
+        end
       done;
-      if missing () > 0 then Hashtbl.replace t.deficient id ()
+      if missing t id > 0 then Hashtbl.replace t.deficient id ()
       else Hashtbl.remove t.deficient id
 
 let birth t round =
@@ -112,20 +129,17 @@ let birth t round =
   done;
   Hashtbl.replace t.deficient id ()
 
+(* Whoever pointed at the victim becomes deficient. *)
 let death t victim =
-  let g = graph t in
-  (* Whoever pointed at the victim becomes deficient. *)
-  let orphans = Dyngraph.in_neighbors g victim in
-  Dyngraph.kill g victim;
-  Hashtbl.remove t.peers victim;
-  Hashtbl.remove t.deficient victim;
-  List.iter (fun u -> if Dyngraph.is_alive g u then Hashtbl.replace t.deficient u ()) orphans
+  Worklist.kill_and_mark t.pending (graph t) t.deficient victim;
+  Hashtbl.remove t.peers victim
+
+let repair t id =
+  if Dyngraph.is_alive (graph t) id then try_fill t id else Hashtbl.remove t.deficient id
 
 let maintenance t =
-  let pending = Hashtbl.fold (fun id () acc -> id :: acc) t.deficient [] in
-  List.iter
-    (fun id -> if Dyngraph.is_alive (graph t) id then try_fill t id else Hashtbl.remove t.deficient id)
-    pending
+  Worklist.load t.pending t.deficient;
+  Worklist.iter t.pending (repair t)
 
 let step t =
   Poisson_model.step_with t.base ~birth ~death t;
@@ -151,6 +165,8 @@ let mean_out_degree t =
 
 let mean_table_fill t =
   let acc = ref 0 and count = ref 0 in
+  (* lint: allow no-hashtbl-order — pure integer sums over entries;
+     addition commutes. *)
   Hashtbl.iter
     (fun _ peer ->
       acc := !acc + peer.fill;

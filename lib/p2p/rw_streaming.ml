@@ -21,11 +21,8 @@ let walk t =
   else begin
     let pos = ref (Dyngraph.random_alive g) in
     for _ = 1 to t.walk_length do
-      match Dyngraph.neighbors g !pos with
-      | [] -> pos := Dyngraph.random_alive g
-      | neigh ->
-          let arr = Array.of_list neigh in
-          pos := Prng.choose t.rng arr
+      let next = Dyngraph.random_neighbor g t.rng !pos in
+      pos := if next >= 0 then next else Dyngraph.random_alive g
     done;
     !pos
   end

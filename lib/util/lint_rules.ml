@@ -134,7 +134,7 @@ let no_polymorphic_sort =
 (* no-hashtbl-order                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let hashtbl_restricted_dirs = [ "lib/graph"; "lib/core"; "lib/experiments" ]
+let hashtbl_restricted_dirs = [ "lib/graph"; "lib/core"; "lib/p2p"; "lib/experiments" ]
 
 let hashtbl_order_sensitive =
   [ "iter"; "fold"; "to_seq"; "to_seq_keys"; "to_seq_values" ]
@@ -145,8 +145,8 @@ let no_hashtbl_order =
     name;
     doc =
       "Hashtbl.iter/fold leak table order into results in lib/graph, \
-       lib/core, lib/experiments; rewrite order-insensitively or suppress \
-       with a reason";
+       lib/core, lib/p2p, lib/experiments; rewrite order-insensitively or \
+       suppress with a reason";
     check =
       File
         (fun ctx ->

@@ -22,7 +22,7 @@
 module Prng = Churnet_util.Prng
 module Checkpoint = Churnet_util.Checkpoint
 
-let experiment_ids = [ "E1"; "E10"; "F4"; "F6"; "F8"; "F14" ]
+let experiment_ids = [ "E1"; "E10"; "F4"; "F6"; "F8"; "F10"; "F14" ]
 let record_replay_steps = 150
 
 (* The sweep target reads its grid from the checked-in smoke config and

@@ -68,6 +68,38 @@ let test_poisson_jump_budget () =
   if per_jump >= 16. then
     Alcotest.failf "PDGR jump allocates %.2f words (budget 16)" per_jump
 
+(* The overlay kernels on warmed overlays (n = 1500, d = 8): a
+   random-walk round (d walks of 2 ceil(log2 n) neighbour picks each)
+   and a Bitcoin-like jump (churn, then a repair pass with address
+   gossip).  In the dev profile they measure 27.3 words per round and
+   92.2 per jump, where the list-based kernels they replaced took 31 037
+   and 2 231; each budget sits at least 20x below the old figure.  A
+   Bitcoin-like birth still allocates its 64-entry address table. *)
+let test_rw_streaming_round_budget () =
+  let n = 1_500 in
+  let m = Churnet_p2p.Rw_streaming.create ~rng:(Prng.create 4) ~n ~d:8 () in
+  Churnet_p2p.Rw_streaming.warm_up m;
+  (* A second warm-up is 2n more rounds on the warmed overlay. *)
+  let per_round =
+    net_words (fun () -> Churnet_p2p.Rw_streaming.warm_up m) /. float_of_int (2 * n)
+  in
+  if per_round >= 64. then
+    Alcotest.failf "random-walk round allocates %.2f words (budget 64)" per_round
+
+let test_bitcoin_like_jump_budget () =
+  let m = Churnet_p2p.Bitcoin_like.create ~rng:(Prng.create 5) ~n:1_500 () in
+  Churnet_p2p.Bitcoin_like.warm_up m;
+  let jumps = 20_000 in
+  let per_jump =
+    net_words (fun () ->
+        for _ = 1 to jumps do
+          Churnet_p2p.Bitcoin_like.step m
+        done)
+    /. float_of_int jumps
+  in
+  if per_jump >= 110. then
+    Alcotest.failf "Bitcoin-like jump allocates %.2f words (budget 110)" per_jump
+
 let suite =
   [
     ("Prng.int", `Quick, test_prng_int);
@@ -75,4 +107,6 @@ let suite =
     ("Intvec.mem", `Quick, test_intvec_mem);
     ("Intvec.swap_remove_first", `Quick, test_intvec_swap_remove_first);
     ("Poisson jump budget", `Quick, test_poisson_jump_budget);
+    ("random-walk round budget", `Quick, test_rw_streaming_round_budget);
+    ("Bitcoin-like jump budget", `Quick, test_bitcoin_like_jump_budget);
   ]

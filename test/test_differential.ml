@@ -6,6 +6,7 @@
 module Dyngraph = Churnet_graph.Dyngraph
 module Snapshot = Churnet_graph.Snapshot
 module Prng = Churnet_util.Prng
+module Codec = Churnet_util.Codec
 
 let check_bool = Alcotest.(check bool)
 
@@ -92,6 +93,48 @@ let iterators_agree g =
       then ok := false);
   !ok
 
+(* [random_neighbor] must return what the list query plus
+   [Prng.choose] returns and leave its generator in the same state, on
+   every alive node — including a hub whose raw in-edge run (36 entries,
+   every spoke pointing all three slots at it) outgrows the arena
+   scratch's initial 32 cells.  [in_neighbors_into] must append exactly
+   [in_neighbors], and [in_degree_below] must agree with [in_degree] at
+   every cap around the hub's and the nodes' degrees. *)
+let random_neighbor_agrees ~seed g =
+  let hub = Dyngraph.add_node_with_targets g ~birth:0 ~targets:[||] in
+  for _ = 1 to 12 do
+    ignore (Dyngraph.add_node_with_targets g ~birth:0 ~targets:[| hub; hub; hub |])
+  done;
+  let fast = Prng.create seed and slow = Prng.create seed in
+  let state rng =
+    let w = Codec.writer () in
+    Prng.encode w rng;
+    Codec.contents w
+  in
+  let ok = ref true in
+  let ids = Dyngraph.alive_ids g in
+  Array.sort Int.compare ids;
+  Array.iter
+    (fun id ->
+      let expected =
+        match Dyngraph.neighbors g id with
+        | [] -> -1
+        | l -> Prng.choose slow (Array.of_list l)
+      in
+      if Dyngraph.random_neighbor g fast id <> expected then ok := false;
+      if state fast <> state slow then ok := false;
+      let into = Churnet_util.Intvec.create () in
+      Dyngraph.in_neighbors_into g id into;
+      let appended = ref [] in
+      Churnet_util.Intvec.iter (fun v -> appended := v :: !appended) into;
+      if List.rev !appended <> Dyngraph.in_neighbors g id then ok := false;
+      for cap = 0 to 14 do
+        if Dyngraph.in_degree_below g id cap <> (Dyngraph.in_degree g id < cap) then
+          ok := false
+      done)
+    ids;
+  !ok
+
 let test_iter_neighbors_mixed_script () =
   let rng = Prng.create 8 in
   let script = List.init 250 (fun _ -> Prng.bernoulli rng 0.4) in
@@ -115,7 +158,6 @@ let test_iter_neighbors_heavy_deaths () =
    runners it checks. *)
 
 module Poisson_model = Churnet_core.Poisson_model
-module Codec = Churnet_util.Codec
 
 let encoded m =
   let w = Codec.writer () in
@@ -294,6 +336,11 @@ let qcheck_props =
       (fun (seed, script) ->
         let g, _ = run_pair ~seed ~script in
         iterators_agree g);
+    QCheck.Test.make ~name:"random_neighbor == choose (neighbors) on random scripts" ~count:60
+      QCheck.(pair small_int (list_of_size (Gen.int_range 10 150) bool))
+      (fun (seed, script) ->
+        let g, _ = run_pair ~seed ~script in
+        random_neighbor_agrees ~seed g);
   ]
 
 let suite =

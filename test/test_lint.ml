@@ -219,6 +219,8 @@ let test_hashtbl_order () =
     (rules_fired "no-hashtbl-order" ~path:"lib/graph/fake.ml" bad);
   check_int "Hashtbl.iter caught in lib/core" 1
     (rules_fired "no-hashtbl-order" ~path:"lib/core/fake.ml" bad);
+  check_int "Hashtbl.iter caught in lib/p2p" 1
+    (rules_fired "no-hashtbl-order" ~path:"lib/p2p/fake.ml" bad);
   check_int "lib/util not restricted" 0
     (rules_fired "no-hashtbl-order" ~path:"lib/util/fake.ml" bad);
   let ok = "let v = Hashtbl.find_opt tbl k" in
