@@ -175,30 +175,55 @@ let expand_informed_auto graph informed frontier scratch =
     Intvec.iter (fun v -> frontier_arm frontier v) scratch
   end
 
-let prune_dead graph informed scratch =
-  Intvec.clear scratch;
-  Bitset.iter
-    (fun id -> if not (Dyngraph.is_alive graph id) then Intvec.push scratch id)
-    informed;
-  Intvec.iter (fun id -> Bitset.remove informed id) scratch
+(* [prev] then [hook], either of which may be absent. *)
+let chain prev hook both =
+  match prev with
+  | None -> hook
+  | Some g -> ( match hook with None -> prev | Some h -> Some (both g h))
+
+(* Run [f ()] with [edge] and [death] installed behind whatever hooks
+   [graph] already carries (an event recorder, say), and hand the graph
+   back to those on exit, also when [f] raises: the hook window of all
+   three flood drivers.  Callers build the hook options once, so an
+   unobserved window allocates no hook closure. *)
+let with_hooks graph ~edge ~death f =
+  let prev_edge = Dyngraph.edge_hook graph and prev_death = Dyngraph.death_hook graph in
+  Dyngraph.set_edge_hook graph
+    (chain prev_edge edge (fun g h ~src ~dst ->
+         g ~src ~dst;
+         h ~src ~dst));
+  Dyngraph.set_death_hook graph
+    (chain prev_death death (fun g h id ->
+         g id;
+         h id));
+  Fun.protect f ~finally:(fun () ->
+      Dyngraph.set_edge_hook graph prev_edge;
+      Dyngraph.set_death_hook graph prev_death)
 
 (* --- resumable cross-round state ------------------------------------ *)
 
 (* Everything flooding carries from one round to the next, factored out
    of the run loops so it can be serialized mid-flood (checkpointing)
    and so both the synchronous and discretized drivers share one shape.
-   [scratch] and [candidates] are per-round staging space: cleared
-   before every use, hence transient and recreated on decode.
-   [frontier] is the synchronous driver's set of informed nodes that may
-   still have uninformed neighbors; it is an optimization cache, not
-   state — rebuilding it conservatively as the whole informed set (what
+   [scratch], [candidates] and [deaths] are per-round staging space:
+   cleared before every use, hence transient and recreated on decode.
+   [frontier] is the set of informed nodes that may still have
+   uninformed neighbors; it is an optimization cache, not state —
+   rebuilding it conservatively as the whole informed set (what
    {!decode_state} does) changes nothing observable, so the checkpoint
-   format carries no frontier field. *)
+   format carries no frontier field.  [on_edge] and [on_death] are the
+   hooks both drivers install while the model advances, built once per
+   state: an edge created with exactly one informed endpoint arms that
+   endpoint into [frontier], and an informed node that dies is pushed on
+   [deaths] for the round to remove from [informed]. *)
 type state = {
   informed : Bitset.t;
   frontier : Bitset.t; (* transient cache; see above *)
   scratch : Intvec.t; (* transient *)
   candidates : Intvec.t; (* transient; used by the discretized driver *)
+  deaths : Intvec.t; (* transient *)
+  on_edge : (src:Dyngraph.node_id -> dst:Dyngraph.node_id -> unit) option;
+  on_death : (Dyngraph.node_id -> unit) option;
   mutable informed_log : int list; (* head = latest round *)
   mutable population_log : int list;
   mutable round : int;
@@ -230,6 +255,33 @@ let encode_state w st =
   Codec.bool w st.extinct;
   Codec.option (fun w r -> Codec.varint w r) w st.extinction_round
 
+(* A round-0 state over [informed], with the whole of it as frontier. *)
+let make_state ~max_rounds ~informed ~population =
+  let frontier = Bitset.copy informed and deaths = Intvec.create ~capacity:64 () in
+  let on_edge ~src ~dst =
+    let src_informed = bs_mem informed src in
+    let dst_informed = bs_mem informed dst in
+    if src_informed && not dst_informed then frontier_arm frontier src
+    else if dst_informed && not src_informed then frontier_arm frontier dst
+  in
+  {
+    informed;
+    frontier;
+    scratch = Intvec.create ~capacity:256 ();
+    candidates = Intvec.create ~capacity:1024 ();
+    deaths;
+    on_edge = Some on_edge;
+    on_death = Some (fun id -> if bs_mem informed id then Intvec.push deaths id);
+    informed_log = [ 1 ];
+    population_log = [ population ];
+    round = 0;
+    max_rounds;
+    completed = false;
+    completion_round = None;
+    extinct = false;
+    extinction_round = None;
+  }
+
 let decode_state r =
   let informed = Bitset.decode r in
   let informed_log = Codec.read_int_list r in
@@ -247,87 +299,68 @@ let decode_state r =
     || (completed && completion_round = None)
     || (extinct && extinction_round = None)
   then raise (Codec.Error "Flood.decode_state: inconsistent fields");
+  (* Conservative frontier: rescanning every informed node on the first
+     post-resume round yields the same newly-informed set as the exact
+     frontier would (scanning a superset never changes the result). *)
   {
-    informed;
-    (* Conservative frontier: rescanning every informed node on the first
-       post-resume hop yields the same newly-informed set as the exact
-       frontier would (scanning a superset never changes the result). *)
-    frontier = Bitset.copy informed;
-    scratch = Intvec.create ~capacity:256 ();
-    candidates = Intvec.create ~capacity:1024 ();
+    (make_state ~max_rounds ~informed ~population:0) with
     informed_log;
     population_log;
     round;
-    max_rounds;
     completed;
     completion_round;
     extinct;
     extinction_round;
   }
 
-let make_state ~max_rounds ~source ~population =
+let source_state ~max_rounds ~source ~population =
   let informed = Bitset.create (source + 64) in
   Bitset.add informed source;
-  let frontier = Bitset.create (source + 64) in
-  Bitset.add frontier source;
-  {
-    informed;
-    frontier;
-    scratch = Intvec.create ~capacity:256 ();
-    candidates = Intvec.create ~capacity:1024 ();
-    informed_log = [ 1 ];
-    population_log = [ population ];
-    round = 0;
-    max_rounds;
-    completed = false;
-    completion_round = None;
-    extinct = false;
-    extinction_round = None;
-  }
+  make_state ~max_rounds ~informed ~population
+
+(* Advance the model by [f ()] inside the state's hook window, then drop
+   the informed nodes that died meanwhile. *)
+let advance graph st f =
+  Intvec.clear st.deaths;
+  with_hooks graph ~edge:st.on_edge ~death:st.on_death f;
+  for k = 0 to Intvec.length st.deaths - 1 do
+    Bitset.remove st.informed (Intvec.get st.deaths k)
+  done
+
+(* Log the round just ended; stop the flood when [covered], or at
+   extinction: once every informed node died before passing the message
+   on (as in PDG or SDG), nothing can revive the flood, so stop here
+   instead of spinning to [max_rounds]. *)
+let end_round st ~alive ~inf ~covered =
+  st.informed_log <- inf :: st.informed_log;
+  st.population_log <- alive :: st.population_log;
+  if covered then begin
+    st.completed <- true;
+    st.completion_round <- Some st.round
+  end
+  else if inf = 0 then begin
+    st.extinct <- true;
+    st.extinction_round <- Some st.round
+  end
 
 let sync_start ~max_rounds ~graph ~step ~newest =
   (* The source is the node joining the network at round t0. *)
   step ();
   let source = newest () in
-  make_state ~max_rounds ~source ~population:(Dyngraph.alive_count graph)
+  source_state ~max_rounds ~source ~population:(Dyngraph.alive_count graph)
 
 let sync_round ~graph ~step ~newest st =
   st.round <- st.round + 1;
   (* I_t = (I_{t-1} U boundary in G_{t-1}) /\ N_t *)
   expand_informed_auto graph st.informed st.frontier st.scratch;
-  (* During churn, an edge with exactly one informed endpoint can put an
-     uninformed node next to a long-informed one; re-arm that endpoint so
-     the next hop rescans it (see expand_informed_frontier).  Chain to
-     any hook already installed (e.g. an event recorder) and restore it
-     afterwards. *)
-  let prev_hook = Dyngraph.edge_hook graph in
-  Dyngraph.set_edge_hook graph
-    (Some
-       (fun ~src ~dst ->
-         (match prev_hook with None -> () | Some f -> f ~src ~dst);
-         let src_informed = bs_mem st.informed src in
-         let dst_informed = bs_mem st.informed dst in
-         if src_informed && not dst_informed then frontier_arm st.frontier src
-         else if dst_informed && not src_informed then frontier_arm st.frontier dst));
-  Fun.protect ~finally:(fun () -> Dyngraph.set_edge_hook graph prev_hook) step;
-  prune_dead graph st.informed st.scratch;
-  let alive = Dyngraph.alive_count graph in
-  let inf = Bitset.cardinal st.informed in
-  st.informed_log <- inf :: st.informed_log;
-  st.population_log <- alive :: st.population_log;
+  (* Churn; the state's edge hook re-arms an informed node that gains an
+     uninformed neighbor, so the next hop rescans it. *)
+  advance graph st step;
+  let alive = Dyngraph.alive_count graph and inf = Bitset.cardinal st.informed in
   let newborn = newest () in
   let uninformed = alive - inf in
-  if uninformed = 0 || (uninformed = 1 && not (bs_mem st.informed newborn)) then begin
-    st.completed <- true;
-    st.completion_round <- Some st.round
-  end
-  else if inf = 0 then begin
-    (* Extinction: every informed node died before passing the message
-       on.  Nothing can revive the flood, so stop here instead of
-       spinning to [max_rounds]. *)
-    st.extinct <- true;
-    st.extinction_round <- Some st.round
-  end
+  end_round st ~alive ~inf
+    ~covered:(uninformed = 0 || (uninformed = 1 && not (bs_mem st.informed newborn)))
 
 (* [start] plants the source (its last jump must be the source's birth);
    [step] is one round of churn. *)
@@ -385,16 +418,19 @@ let run_unit_time ?max_rounds ~step model =
 
 let poisson_start ~max_rounds model =
   let source = Poisson_model.step_until_birth model in
-  make_state ~max_rounds ~source
+  source_state ~max_rounds ~source
     ~population:(Dyngraph.alive_count (Poisson_model.graph model))
 
 let poisson_round model st =
   let graph = Poisson_model.graph model in
   let d = Dyngraph.d graph in
-  let informed = st.informed in
+  let informed = st.informed and frontier = st.frontier in
   let candidates = st.candidates in
   st.round <- st.round + 1;
-  (* Record the informed-to-uninformed edges present at time t. *)
+  (* Record the informed-to-uninformed edges present at time t.  Only the
+     frontier can own one (the invariant of expand_informed_frontier, kept
+     by the edge hook and by arming every learner), so its ascending scan
+     lists the candidates of a full scan, in the same order. *)
   Intvec.clear candidates;
   let push_candidate ~owner ~slot ~other ~learner =
     Intvec.push candidates owner;
@@ -416,7 +452,7 @@ let poisson_round model st =
   in
   Bitset.iter
     (fun u ->
-      if Dyngraph.is_alive graph u then begin
+      if bs_mem informed u && Dyngraph.is_alive graph u then begin
         for i = 0 to d - 1 do
           let w = Dyngraph.out_slot graph u i in
           if w >= 0 && not (bs_mem informed w) then
@@ -425,10 +461,13 @@ let poisson_round model st =
         current := u;
         Dyngraph.iter_in_neighbors graph u visit_in
       end)
-    informed;
+    frontier;
+  Bitset.clear frontier;
   (* Advance the churn by one unit of time. *)
   let birth_round_start = Poisson_model.round model in
-  Poisson_model.run_until_time model (Poisson_model.time model +. 1.0);
+  let id0 = Dyngraph.peek_next_id graph in
+  let deadline = Poisson_model.time model +. 1.0 in
+  advance graph st (fun () -> Poisson_model.run_until_time model deadline);
   (* Deliver along candidates whose edge survived the whole interval. *)
   let m = Intvec.length candidates / 4 in
   for k = 0 to m - 1 do
@@ -440,31 +479,26 @@ let poisson_round model st =
       Dyngraph.is_alive graph owner
       && Dyngraph.is_alive graph other
       && Dyngraph.out_slot graph owner slot = other
-    then bs_add informed learner
+    then begin
+      bs_add informed learner;
+      frontier_arm frontier learner
+    end
   done;
-  prune_dead graph informed st.scratch;
-  let alive = Dyngraph.alive_count graph in
-  let inf = Bitset.cardinal informed in
-  st.informed_log <- inf :: st.informed_log;
-  st.population_log <- alive :: st.population_log;
+  let alive = Dyngraph.alive_count graph and inf = Bitset.cardinal informed in
   (* Completion: everyone alive is informed, except possibly nodes born
      during the interval just elapsed (Definition 4.3 cannot reach them
-     yet). *)
-  let all_covered = ref true in
-  Dyngraph.iter_alive graph (fun id ->
-      if (not (bs_mem informed id)) && Dyngraph.birth_of graph id <= birth_round_start
-      then all_covered := false);
-  if !all_covered && inf > 1 then begin
-    st.completed <- true;
-    st.completion_round <- Some st.round
-  end
-  else if inf = 0 then begin
-    (* Extinction: flooding can die out entirely in PDG.  Once no
-       informed node is left the process is over — stop immediately and
-       record the round, rather than looping to [max_rounds]. *)
-    st.extinct <- true;
-    st.extinction_round <- Some st.round
-  end
+     yet): those stamped past [birth_round_start], all of them with ids
+     from [id0] on.  A pending birth drawn last round is stamped at most
+     [birth_round_start], so it is not exempt. *)
+  let late = ref 0 in
+  for id = id0 to Dyngraph.peek_next_id graph - 1 do
+    if
+      Dyngraph.is_alive graph id
+      && (not (bs_mem informed id))
+      && Dyngraph.birth_of graph id > birth_round_start
+    then incr late
+  done;
+  end_round st ~alive ~inf ~covered:(alive - inf = !late && inf > 1)
 
 let run_poisson_discretized ?max_rounds model =
   let max_rounds =
@@ -498,49 +532,33 @@ module Async = struct
     let informed : (int, float) Hashtbl.t = Hashtbl.create 1024 in
     let deliveries : int Churnet_util.Heap.t = Churnet_util.Heap.create () in
     let ever_informed = ref 0 in
+    (* Exact O(1) coverage bookkeeping: [informed_alive] counts informed
+       nodes that are still alive; the death hook keeps it current. *)
+    let informed_alive = ref 0 in
     let inform id at =
       if (not (Hashtbl.mem informed id)) && Dyngraph.is_alive graph id then begin
         Hashtbl.replace informed id at;
         incr ever_informed;
+        incr informed_alive;
         Dyngraph.iter_neighbors graph id (fun v ->
             if not (Hashtbl.mem informed v) then
               Churnet_util.Heap.push deliveries (at +. 1.) v)
       end
     in
-    (* The hooks below chain to whatever observer (e.g. an event recorder)
-       was installed before the run, and hand the graph back to it on exit,
-       normal or not. *)
-    let prev_edge_hook = Dyngraph.edge_hook graph in
-    let prev_death_hook = Dyngraph.death_hook graph in
     (* New edges towards informed nodes trigger a delivery one unit later
        (Definition 4.2: neighbor at instant t => informed at t + 1).  The
        hook reads the model clock, hence the per-jump [Poisson_model.step]
        below. *)
-    Dyngraph.set_edge_hook graph
-      (Some
-         (fun ~src ~dst ->
-           (match prev_edge_hook with None -> () | Some f -> f ~src ~dst);
-           let now = Poisson_model.time model in
-           let src_informed = Hashtbl.mem informed src in
-           let dst_informed = Hashtbl.mem informed dst in
-           if src_informed && not dst_informed then
-             Churnet_util.Heap.push deliveries (now +. 1.) dst
-           else if dst_informed && not src_informed then
-             Churnet_util.Heap.push deliveries (now +. 1.) src));
-    (* Exact O(1) coverage bookkeeping: [informed_alive] counts informed
-       nodes that are still alive; the death hook keeps it current. *)
-    let informed_alive = ref 0 in
-    Dyngraph.set_death_hook graph
-      (Some
-         (fun id ->
-           (match prev_death_hook with None -> () | Some f -> f id);
-           if Hashtbl.mem informed id then decr informed_alive));
-    let inform id at =
-      if (not (Hashtbl.mem informed id)) && Dyngraph.is_alive graph id then begin
-        inform id at;
-        incr informed_alive
-      end
+    let on_edge ~src ~dst =
+      let now = Poisson_model.time model in
+      let src_informed = Hashtbl.mem informed src in
+      let dst_informed = Hashtbl.mem informed dst in
+      if src_informed && not dst_informed then
+        Churnet_util.Heap.push deliveries (now +. 1.) dst
+      else if dst_informed && not src_informed then
+        Churnet_util.Heap.push deliveries (now +. 1.) src
     in
+    let on_death id = if Hashtbl.mem informed id then decr informed_alive in
     let events = ref 0 in
     let completed = ref false in
     let completion_time = ref None in
@@ -593,14 +611,8 @@ module Async = struct
         end
       done
     in
-    Fun.protect flood ~finally:(fun () ->
-        Dyngraph.set_edge_hook graph prev_edge_hook;
-        Dyngraph.set_death_hook graph prev_death_hook);
+    with_hooks graph ~edge:(Some on_edge) ~death:(Some on_death) flood;
     let alive = Dyngraph.alive_count graph in
-    let informed_alive = ref 0 in
-    (* lint: allow no-hashtbl-order — pure count over entries; addition
-       commutes. *)
-    Hashtbl.iter (fun id _ -> if Dyngraph.is_alive graph id then incr informed_alive) informed;
     {
       completed = !completed;
       completion_time = !completion_time;

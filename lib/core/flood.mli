@@ -85,7 +85,15 @@ val expand_informed_auto :
     flood can be checkpointed between rounds and resumed elsewhere.  The
     per-round staging vectors are transient: {!decode_state} recreates
     them empty, which is indistinguishable because every round clears
-    them before use. *)
+    them before use.
+
+    Precondition of {!sync_round} and {!poisson_round}: between rounds,
+    the model is advanced only by the round functions.  Each round
+    advances it inside a hook window that records which informed nodes
+    gain an uninformed neighbor and which die; churn outside the window
+    would leave dead nodes in the informed set and new cut edges
+    unscanned.  (Resuming from {!decode_state} is always safe: its
+    frontier is the whole informed set.) *)
 
 type state
 
@@ -115,9 +123,11 @@ val sync_round :
   unit
 (** One synchronous flooding round (Definition 3.3): adaptive expand
     ({!expand_informed_auto}), churn, prune, log, then test
-    completion/extinction.  During [step] the graph's edge hook is
-    temporarily chained (and restored after, also when [step] raises) to
-    keep the frontier invariant of {!expand_informed_frontier}; the
+    completion/extinction.  During [step] the graph's edge and death
+    hooks are chained to any installed observer (and restored after,
+    also when [step] raises): the edge hook keeps the frontier invariant
+    of {!expand_informed_frontier}, and the death hook records the
+    informed nodes to prune, so no round rescans the informed set.  The
     result is byte-identical to a full rescan per hop, only faster. *)
 
 val poisson_start : max_rounds:int -> Poisson_model.t -> state
@@ -126,7 +136,13 @@ val poisson_start : max_rounds:int -> Poisson_model.t -> state
 
 val poisson_round : Poisson_model.t -> state -> unit
 (** One discretized flooding round (Definition 4.3) over a unit interval
-    of model time. *)
+    of model time.  It records candidate edges from the frontier only
+    (the informed nodes that may have an uninformed neighbor), prunes the
+    informed nodes the death hook saw die, and tests completion on the
+    ids born since the round started; hooks are chained and restored as
+    in {!sync_round}.  Beyond a word-level sweep of the frontier bitset, a
+    round costs O(frontier + churn), and its trace equals that of a full
+    scan of the informed and alive sets. *)
 
 val finish_state : state -> trace
 (** Assemble the final trace from a finished (or abandoned) state. *)

@@ -556,13 +556,14 @@ let no_io_transitive =
 
 (* The registered kernel entry points: the flooding round kernels
    (including the Poisson round, which also reaches the batched churn
-   runner), the churn jump kernels (add_node + kill ARE the jump: the
-   paper's churn process replaces a killed node by a fresh birth;
-   churn_batch applies a pre-drawn run of them), and the per-candidate
-   expansion scorer. *)
+   runner, and the synchronous round with its hook window), the churn
+   jump kernels (add_node + kill ARE the jump: the paper's churn process
+   replaces a killed node by a fresh birth; churn_batch applies a
+   pre-drawn run of them), and the per-candidate expansion scorer. *)
 let kernel_entries (d : Lint_graph.def) =
   let m = d.Lint_graph.d_module and x = d.Lint_graph.d_name in
-  (m = "Flood" && (has_prefix "expand_informed" x || x = "poisson_round"))
+  (m = "Flood"
+  && (has_prefix "expand_informed" x || x = "poisson_round" || x = "sync_round"))
   || (m = "Dyngraph" && (x = "add_node" || x = "kill" || x = "churn_batch"))
   || (m = "Probe" && x = "consider")
 
@@ -579,7 +580,7 @@ let hot_path_alloc =
     name;
     doc =
       "functions reachable from the kernel entry points \
-       (Flood.expand_informed*/poisson_round, \
+       (Flood.expand_informed*/poisson_round/sync_round, \
        Dyngraph.add_node/kill/churn_batch, Probe.consider) must not \
        allocate per element: no List combinators, per-iteration \
        closures, tuples or partial applications";

@@ -100,6 +100,40 @@ let test_bitcoin_like_jump_budget () =
   if per_jump >= 110. then
     Alcotest.failf "Bitcoin-like jump allocates %.2f words (budget 110)" per_jump
 
+(* One tail round of each round-based flood driver on a warmed n = 2000
+   graph: a discretized round over PDG (d = 2, which never completes, so
+   round 31 is deep in the tail) and a synchronous round over SDG
+   (d = 2, round 1001).  With a full informed-set scan, an is_alive prune
+   pass and an alive-set completion scan, building their closures every
+   round, these rounds took 50 and 48 words in the dev profile; each
+   budget is that figure.  The frontier rounds take 47 and 32, mostly
+   the two log conses and the hook window. *)
+let tail_round_words ~rounds ~round st =
+  for _ = 1 to rounds do
+    round st
+  done;
+  if Churnet_core.Flood.state_finished st then Alcotest.fail "flood ended before its tail";
+  net_words (fun () -> round st)
+
+let test_poisson_round_budget () =
+  let module Flood = Churnet_core.Flood in
+  let m = Poisson_model.create ~rng:(Prng.create 6) ~n:2_000 ~d:2 ~regenerate:false () in
+  Poisson_model.warm_up m;
+  let st = Flood.poisson_start ~max_rounds:200 m in
+  let w = tail_round_words ~rounds:30 ~round:(Flood.poisson_round m) st in
+  if w > 50. then Alcotest.failf "tail poisson_round allocates %.0f words (budget 50)" w
+
+let test_sync_round_budget () =
+  let module Flood = Churnet_core.Flood in
+  let module Streaming_model = Churnet_core.Streaming_model in
+  let m = Streaming_model.create ~rng:(Prng.create 7) ~n:2_000 ~d:2 ~regenerate:false () in
+  Streaming_model.warm_up m;
+  let graph = Streaming_model.graph m in
+  let step () = Streaming_model.step m and newest () = Streaming_model.newest m in
+  let st = Flood.sync_start ~max_rounds:8_000 ~graph ~step ~newest in
+  let w = tail_round_words ~rounds:1_000 ~round:(Flood.sync_round ~graph ~step ~newest) st in
+  if w > 48. then Alcotest.failf "tail sync_round allocates %.0f words (budget 48)" w
+
 let suite =
   [
     ("Prng.int", `Quick, test_prng_int);
@@ -109,4 +143,6 @@ let suite =
     ("Poisson jump budget", `Quick, test_poisson_jump_budget);
     ("random-walk round budget", `Quick, test_rw_streaming_round_budget);
     ("Bitcoin-like jump budget", `Quick, test_bitcoin_like_jump_budget);
+    ("tail poisson_round budget", `Quick, test_poisson_round_budget);
+    ("tail sync_round budget", `Quick, test_sync_round_budget);
   ]

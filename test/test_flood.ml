@@ -371,6 +371,193 @@ let test_frontier_flood_equals_full_rescan () =
       done)
     runs
 
+(* The discretized driver scans only its frontier, drops the informed
+   nodes it saw die, and tests completion on the round's births alone.
+   The reference below is the historical round: scan every informed
+   node, prune by an [is_alive] pass over the informed set, and test
+   completion over every alive node.  Both must log the identical
+   per-round trace and leave the model in the identical state. *)
+module Discretized_reference = struct
+  module Dyngraph = Churnet_graph.Dyngraph
+  module Bitset = Churnet_util.Bitset
+  module Intvec = Churnet_util.Intvec
+
+  type t = {
+    informed : Bitset.t;
+    candidates : Intvec.t;
+    mutable log : (int * int) list; (* head = latest round *)
+    mutable round : int;
+    mutable completion_round : int option;
+    mutable extinction_round : int option;
+  }
+
+  let mem bs id = id < Bitset.capacity bs && Bitset.mem bs id
+
+  let add bs id =
+    Bitset.ensure_capacity bs (id + 1);
+    Bitset.add bs id
+
+  let start model =
+    let src = Poisson_model.step_until_birth model in
+    let informed = Bitset.create (src + 64) in
+    Bitset.add informed src;
+    {
+      informed;
+      candidates = Intvec.create ();
+      log = [ (1, Dyngraph.alive_count (Poisson_model.graph model)) ];
+      round = 0;
+      completion_round = None;
+      extinction_round = None;
+    }
+
+  let round model r =
+    let g = Poisson_model.graph model in
+    let d = Dyngraph.d g in
+    let informed = r.informed and candidates = r.candidates in
+    r.round <- r.round + 1;
+    Intvec.clear candidates;
+    let push owner slot other learner =
+      List.iter (Intvec.push candidates) [ owner; slot; other; learner ]
+    in
+    Bitset.iter
+      (fun u ->
+        if Dyngraph.is_alive g u then begin
+          for i = 0 to d - 1 do
+            let w = Dyngraph.out_slot g u i in
+            if w >= 0 && not (mem informed w) then push u i w w
+          done;
+          Dyngraph.iter_in_neighbors g u (fun v ->
+              if not (mem informed v) then
+                for j = 0 to d - 1 do
+                  if Dyngraph.out_slot g v j = u then push v j u v
+                done)
+        end)
+      informed;
+    let birth_round_start = Poisson_model.round model in
+    Poisson_model.run_until_time model (Poisson_model.time model +. 1.0);
+    for k = 0 to (Intvec.length candidates / 4) - 1 do
+      let get i = Intvec.get candidates ((4 * k) + i) in
+      if
+        Dyngraph.is_alive g (get 0)
+        && Dyngraph.is_alive g (get 2)
+        && Dyngraph.out_slot g (get 0) (get 1) = get 2
+      then add informed (get 3)
+    done;
+    let dead = ref [] in
+    Bitset.iter (fun v -> if not (Dyngraph.is_alive g v) then dead := v :: !dead) informed;
+    List.iter (Bitset.remove informed) !dead;
+    let alive = Dyngraph.alive_count g in
+    let inf = Bitset.cardinal informed in
+    r.log <- (inf, alive) :: r.log;
+    let all_covered = ref true in
+    Dyngraph.iter_alive g (fun id ->
+        if (not (mem informed id)) && Dyngraph.birth_of g id <= birth_round_start then
+          all_covered := false);
+    if !all_covered && inf > 1 then r.completion_round <- Some r.round
+    else if inf = 0 then r.extinction_round <- Some r.round
+
+  let finished r max_rounds =
+    r.completion_round <> None || r.extinction_round <> None || r.round >= max_rounds
+
+  let run ?(max_rounds = 120) model =
+    let r = start model in
+    while not (finished r max_rounds) do
+      round model r
+    done;
+    r
+end
+
+let trace_of (tr : Flood.trace) =
+  ( Array.to_list
+      (Array.mapi (fun i inf -> (inf, tr.population_per_round.(i))) tr.informed_per_round),
+    tr.completion_round,
+    tr.extinction_round )
+
+let reference_of (r : Discretized_reference.t) =
+  (List.rev r.log, r.completion_round, r.extinction_round)
+
+let model_bytes m =
+  let w = Churnet_util.Codec.writer () in
+  Poisson_model.encode w m;
+  Churnet_util.Codec.contents w
+
+let poisson_model ?lambda ~regenerate ~d seed =
+  let m = Poisson_model.create ~rng:(Prng.create seed) ?lambda ~n:200 ~d ~regenerate () in
+  Poisson_model.warm_up m;
+  m
+
+(* PDG and PDGR at d = 1, 2, 4, three seeds each.  At lambda = 1 a unit
+   interval holds about two jumps; lambda = 8 packs about sixteen into
+   it, so rounds end with newborns that the completion test must exempt
+   (and with a pending deadline-crossing birth that it must not). *)
+let test_frontier_discretized_equals_full_scan () =
+  List.iter
+    (fun lambda ->
+      List.iter
+        (fun regenerate ->
+          List.iter
+            (fun d ->
+              for seed = 201 to 203 do
+                let m = poisson_model ~lambda ~regenerate ~d seed in
+                let tr = Flood.run_poisson_discretized ~max_rounds:120 m in
+                let m_ref = poisson_model ~lambda ~regenerate ~d seed in
+                let r = Discretized_reference.run m_ref in
+                let case =
+                  Printf.sprintf "lambda=%g regenerate=%b d=%d seed %d" lambda regenerate d
+                    seed
+                in
+                if trace_of tr <> reference_of r then
+                  Alcotest.failf "%s: frontier trace diverged" case;
+                if model_bytes m <> model_bytes m_ref then
+                  Alcotest.failf "%s: model diverged" case
+              done)
+            [ 1; 2; 4 ])
+        [ false; true ])
+    [ 1.; 8. ]
+
+(* A mid-flood checkpoint resumes with a conservative frontier (the
+   whole informed set) and an unobserved model: the resumed flood must
+   still follow the reference round for round. *)
+let test_frontier_discretized_resumes () =
+  let module Codec = Churnet_util.Codec in
+  let m = poisson_model ~regenerate:true ~d:2 211 in
+  let st = Flood.poisson_start ~max_rounds:120 m in
+  for _ = 1 to 3 do
+    Flood.poisson_round m st
+  done;
+  check_bool "checkpoint is mid-flood" false (Flood.state_finished st);
+  let w = Codec.writer () in
+  Flood.encode_state w st;
+  Poisson_model.encode w m;
+  let rd = Codec.reader (Codec.contents w) in
+  let st' = Flood.decode_state rd in
+  let m' = Poisson_model.decode rd in
+  while not (Flood.state_finished st') do
+    Flood.poisson_round m' st'
+  done;
+  let r = Discretized_reference.run (poisson_model ~regenerate:true ~d:2 211) in
+  check_bool "resumed trace = reference" true
+    (trace_of (Flood.finish_state st') = reference_of r)
+
+(* An event recorder attached before the flood sees the same churn as
+   on the reference run, through the driver's hook windows. *)
+let test_frontier_discretized_keeps_event_log () =
+  let module Event_log = Churnet_graph.Event_log in
+  let logged run =
+    let m = Poisson_model.create ~rng:(Prng.create 221) ~n:200 ~d:2 ~regenerate:false () in
+    let log = Event_log.create () in
+    Event_log.attach log (Poisson_model.graph m);
+    Poisson_model.warm_up m;
+    let out = run m in
+    Event_log.detach log (Poisson_model.graph m);
+    (out, Event_log.events log)
+  in
+  let tr, events = logged (fun m -> trace_of (Flood.run_poisson_discretized ~max_rounds:120 m)) in
+  let r, ref_events = logged (fun m -> reference_of (Discretized_reference.run m)) in
+  check_bool "trace = reference" true (tr = r);
+  check_int "event count" (Array.length ref_events) (Array.length events);
+  check_bool "recorded events = reference" true (events = ref_events)
+
 let test_async_completion_time_from_completing_event () =
   (* completion_time is stamped by the event that completed coverage, so
      it is at least one delivery delay and never past the deadline. *)
@@ -461,6 +648,10 @@ let suite =
       ("async: no delivery past deadline", `Quick, test_async_no_delivery_past_deadline);
       ("coverage nan on empty population", `Quick, test_coverage_nan_on_empty_population);
       ("frontier flood = full rescan", `Quick, test_frontier_flood_equals_full_rescan);
+      ("frontier discretized = full scan", `Quick, test_frontier_discretized_equals_full_scan);
+      ("frontier discretized resumes", `Quick, test_frontier_discretized_resumes);
+      ("frontier discretized keeps event log", `Quick,
+       test_frontier_discretized_keeps_event_log);
       ("async: completion time from completing event", `Quick,
        test_async_completion_time_from_completing_event);
       ("async keeps an attached event log", `Quick, test_async_keeps_event_log);
