@@ -20,7 +20,11 @@ val create : rng:Churnet_util.Prng.t -> ?lambda:float -> n:int -> unit -> t
     generality"; the S1 experiment uses other values to verify that the
     normalization is indeed harmless. *)
 
+(* lint: allow dead-export — test seam: test_churn checks the rates create
+   derives *)
 val lambda : t -> float
+(* lint: allow dead-export — test seam: test_churn checks the rates create
+   derives *)
 val mu : t -> float
 
 val decide : t -> alive:int -> decision * float
@@ -56,7 +60,10 @@ val time : t -> float
 val round : t -> int
 (** Number of jumps so far (the index r of T_r). *)
 
+(* lint: allow dead-export — test seam: test_churn and test_codec read the
+   event counters *)
 val births : t -> int
+(* lint: allow dead-export — test seam: test_churn reads the event counters *)
 val deaths : t -> int
 
 val encode : Churnet_util.Codec.writer -> t -> unit

@@ -1,9 +1,8 @@
 module Dist = Churnet_util.Dist
 
-let isolated_lower_sdg ~n ~d = float_of_int n *. exp (-2. *. float_of_int d) /. 6.
-let isolated_lower_pdg ~n ~d = float_of_int n *. exp (-2. *. float_of_int d) /. 18.
+let isolated_lower_sdg ~d = exp (-2. *. float_of_int d) /. 6.
+let isolated_lower_pdg ~d = exp (-2. *. float_of_int d) /. 18.
 let coverage_target_sdg ~d = 1. -. exp (-.(float_of_int d /. 10.))
-let coverage_target_pdg ~d = 1. -. exp (-.(float_of_int d /. 20.))
 let onion_success_lower ~d = Float.max 0. (1. -. (4. *. exp (-.(float_of_int d /. 100.))))
 
 let edge_prob_older_sdgr ~n ~age =

@@ -7,17 +7,15 @@
 
 (** {1 Headline bound functions} *)
 
-val isolated_lower_sdg : n:int -> d:int -> float
-(** Lemma 3.5: (1/6) n e^{-2d}. *)
+val isolated_lower_sdg : d:int -> float
+(** Lemma 3.5, per node: a fraction (1/6) e^{-2d} of the n nodes is
+    isolated. *)
 
-val isolated_lower_pdg : n:int -> d:int -> float
-(** Lemma 4.10: (1/18) n e^{-2d}. *)
+val isolated_lower_pdg : d:int -> float
+(** Lemma 4.10, per node: (1/18) e^{-2d}. *)
 
 val coverage_target_sdg : d:int -> float
 (** Theorem 3.8: 1 - e^{-d/10}. *)
-
-val coverage_target_pdg : d:int -> float
-(** Theorem 4.13: 1 - e^{-d/20}. *)
 
 val onion_success_lower : d:int -> float
 (** Lemma 3.9 / Claim 3.11: 1 - 4 e^{-d/100} (clamped at 0). *)
@@ -36,6 +34,8 @@ val claim_3_11_product : d:int -> float
     until it is below 1e-16).  Claim 3.11 asserts c >= 1 - 4 e^{-d/100}
     for d >= 200. *)
 
+(* lint: allow dead-export — test seam: test_bounds checks the term every union
+   bound sums *)
 val log_binomial : int -> int -> float
 (** ln (n choose k), exact via lgamma-style log-factorials. *)
 

@@ -29,6 +29,8 @@ val create :
   unit ->
   t
 
+(* lint: allow dead-export — test seam: test_extensions checks the graph's
+   invariants *)
 val graph : t -> Churnet_graph.Dyngraph.t
 
 val warm_up : t -> unit
@@ -37,4 +39,6 @@ val warm_up : t -> unit
     [burst_every]. *)
 
 val flood : ?max_rounds:int -> t -> Flood.trace
+(* lint: allow dead-export — test seam: test_extensions checks that the
+   adversary fired *)
 val bursts_fired : t -> int

@@ -26,9 +26,9 @@ val create :
     must be >= 1.  [retries] bounds sampling attempts per request
     (default 16). *)
 
+(* lint: allow dead-export — test seam: test_extensions checks the graph's
+   invariants *)
 val graph : t -> Churnet_graph.Dyngraph.t
-val step : t -> unit
-(** One churn jump plus a repair pass over nodes with parked slots. *)
 
 val warm_up : t -> unit
 val snapshot : t -> Churnet_graph.Snapshot.t

@@ -94,10 +94,7 @@ let measure_streaming ~rng ~n ~d ~regenerate ~snapshots ~buckets () =
   finalize raws
     ~bounds:(fun i -> ((i * width) + 1, min n ((i + 1) * width)))
     ~predicted_older:(fun mid ->
-      if regenerate then
-        (* Lemma 3.14: (1/(n-1)) (1 + 1/(n-1))^k with k = age - 1. *)
-        1. /. (fn -. 1.) *. ((1. +. (1. /. (fn -. 1.))) ** float_of_int (max 0 (mid - 1)))
-      else 1. /. (fn -. 1.))
+      if regenerate then Bounds.edge_prob_older_sdgr ~n ~age:mid else 1. /. (fn -. 1.))
     ~bound_younger:(1. /. (fn -. 1.))
 
 let measure_poisson ~rng ~n ~d ~regenerate ~snapshots ~buckets () =
@@ -121,8 +118,6 @@ let measure_poisson ~rng ~n ~d ~regenerate ~snapshots ~buckets () =
   finalize raws
     ~bounds:(fun i -> (i * width, min max_age ((i + 1) * width)))
     ~predicted_older:(fun mid ->
-      if regenerate then
-        (* Lemma 4.15's upper bound (1/(0.8 n)) (1 + i/(1.7 n)). *)
-        1. /. (0.8 *. fn) *. (1. +. (float_of_int mid /. (1.7 *. fn)))
+      if regenerate then Bounds.edge_prob_older_pdgr_bound ~n ~age_rounds:mid
       else 1. /. fn)
     ~bound_younger:(1. /. (0.8 *. fn))

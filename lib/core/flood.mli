@@ -29,6 +29,8 @@ type trace = {
   extinction_round : int option;
 }
 
+(* lint: allow dead-export — test seam: test_flood pins it; no experiment reads
+   it (ROADMAP) *)
 val coverage_at : trace -> int -> float
 (** [coverage_at tr k] = |I_{t0+k}| / |N_{t0+k}|, or the final coverage if
     the flood ended earlier.  [nan] when that round's population is empty
@@ -45,6 +47,8 @@ val expand_informed :
     reference kernel for the benchmarks; the drivers use
     {!expand_informed_frontier}. *)
 
+(* lint: allow dead-export — test seam: test_api_surface matches it to
+   expand_informed *)
 val expand_informed_frontier :
   Churnet_graph.Dyngraph.t ->
   Churnet_util.Bitset.t ->
@@ -97,15 +101,22 @@ val expand_informed_auto :
 
 type state
 
+(* lint: allow dead-export — test seam: test_codec checkpoints an in-flight flood *)
 val state_round : state -> int
 (** Rounds executed so far. *)
 
 val state_finished : state -> bool
 (** The flood has completed, gone extinct, or hit its round bound. *)
 
+(* lint: allow dead-export — test seam: test_codec and test_flood resume an
+   in-flight flood *)
 val encode_state : Churnet_util.Codec.writer -> state -> unit
+(* lint: allow dead-export — test seam: test_codec and test_flood resume an
+   in-flight flood *)
 val decode_state : Churnet_util.Codec.reader -> state
 
+(* lint: allow dead-export — test seam: test_flood, test_codec and test_alloc
+   drive rounds *)
 val sync_start :
   max_rounds:int ->
   graph:Churnet_graph.Dyngraph.t ->
@@ -115,6 +126,8 @@ val sync_start :
 (** Advance one churn round, inform the newborn source, and return the
     initial state (round 0 logged). *)
 
+(* lint: allow dead-export — test seam: test_flood, test_codec and test_alloc
+   drive rounds *)
 val sync_round :
   graph:Churnet_graph.Dyngraph.t ->
   step:(unit -> unit) ->

@@ -9,8 +9,8 @@ type census = {
   forever_frac_of_tracked : float;
 }
 
-let paper_bound_sdg ~n ~d = float_of_int n *. exp (-2. *. float_of_int d) /. 6.
-let paper_bound_pdg ~n ~d = float_of_int n *. exp (-2. *. float_of_int d) /. 18.
+let paper_bound_sdg ~n ~d = float_of_int n *. Bounds.isolated_lower_sdg ~d
+let paper_bound_pdg ~n ~d = float_of_int n *. Bounds.isolated_lower_pdg ~d
 
 let collect_isolated graph =
   let acc = ref [] in

@@ -13,8 +13,9 @@ val create :
   rng:Churnet_util.Prng.t -> n:int -> d:int -> period:float -> unit -> t
 (** [period] > 0 in continuous-time units. *)
 
+(* lint: allow dead-export — test seam: test_extensions checks the graph's
+   invariants *)
 val graph : t -> Churnet_graph.Dyngraph.t
-val step : t -> unit
 val advance_time : t -> float -> unit
 val warm_up : t -> unit
 val snapshot : t -> Churnet_graph.Snapshot.t

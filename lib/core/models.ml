@@ -41,8 +41,6 @@ let kind = function
   | Poisson m -> if Poisson_model.regenerates m then PDGR else PDG
 
 let n = function Streaming m -> Streaming_model.n m | Poisson m -> Poisson_model.n m
-let d = function Streaming m -> Streaming_model.d m | Poisson m -> Poisson_model.d m
-
 let graph = function
   | Streaming m -> Streaming_model.graph m
   | Poisson m -> Poisson_model.graph m
@@ -64,19 +62,3 @@ let flood ?max_rounds t =
   match t with
   | Streaming m -> Flood.run_streaming ?max_rounds m
   | Poisson m -> Flood.run_poisson_discretized ?max_rounds m
-
-module Codec = Churnet_util.Codec
-
-let encode w = function
-  | Streaming m ->
-      Codec.u8 w 0;
-      Streaming_model.encode w m
-  | Poisson m ->
-      Codec.u8 w 1;
-      Poisson_model.encode w m
-
-let decode r =
-  match Codec.read_u8 r with
-  | 0 -> Streaming (Streaming_model.decode r)
-  | 1 -> Poisson (Poisson_model.decode r)
-  | b -> raise (Codec.Error (Printf.sprintf "Models.decode: bad model tag %d" b))

@@ -28,7 +28,6 @@ val create : rng:Churnet_util.Prng.t -> ?lambda:float -> kind -> n:int -> d:int 
 
 val kind : t -> kind
 val n : t -> int
-val d : t -> int
 val graph : t -> Churnet_graph.Dyngraph.t
 val snapshot : t -> Churnet_graph.Snapshot.t
 
@@ -47,8 +46,3 @@ val warm_up_batch : t -> unit
 val flood : ?max_rounds:int -> t -> Flood.trace
 (** Flooding in the model's native semantics: synchronous (Def 3.3) for
     streaming, discretized (Def 4.3) for Poisson. *)
-
-val encode : Churnet_util.Codec.writer -> t -> unit
-(** Serialize a model (either semantics) for checkpoints. *)
-
-val decode : Churnet_util.Codec.reader -> t

@@ -239,14 +239,6 @@ let run ~rng ~n ~d () =
   done;
   finish_state st
 
-let success_probability ~rng ~n ~d ~trials () =
-  let ok = ref 0 in
-  for _ = 1 to trials do
-    let r = run ~rng:(Prng.split rng) ~n ~d () in
-    if r.reached_target then incr ok
-  done;
-  float_of_int !ok /. float_of_int trials
-
 (* Extended (Poisson) onion-skin process, Section 7.2.4.
 
    Population: the m = n nodes alive at t0, ranked 1..n from youngest to

@@ -45,27 +45,33 @@ val run : rng:Churnet_util.Prng.t -> n:int -> d:int -> unit -> result
 
 type state
 
+(* lint: allow dead-export — test seam: test_codec checkpoints an in-flight
+   onion run *)
 val state_phase : state -> int
+(* lint: allow dead-export — test seam: test_codec resumes an in-flight onion run *)
 val state_finished : state -> bool
+(* lint: allow dead-export — test seam: test_codec resumes an in-flight onion run *)
 val encode_state : Churnet_util.Codec.writer -> state -> unit
+(* lint: allow dead-export — test seam: test_codec resumes an in-flight onion run *)
 val decode_state : Churnet_util.Codec.reader -> state
 
+(* lint: allow dead-export — test seam: test_codec drives the onion run phase
+   by phase *)
 val start : rng:Churnet_util.Prng.t -> n:int -> d:int -> unit -> state
 (** Materialize every request and run phase 0 (the source's links). *)
 
+(* lint: allow dead-export — test seam: test_codec drives the onion run phase
+   by phase *)
 val phase_step : state -> unit
 (** One phase: the young layer reached through type-B requests into the
     previous old layer, then the old layer hit by their type-A requests. *)
 
+(* lint: allow dead-export — test seam: test_codec drives the onion run phase
+   by phase *)
 val finish_state : state -> result
 
-val success_probability :
-  rng:Churnet_util.Prng.t -> n:int -> d:int -> trials:int -> unit -> float
-(** Fraction of independent realizations for which {!result.reached_target}
-    holds.  Lemma 3.9 predicts at least [1 - 4 e^{-d/100}] for d >= 200;
-    empirically the bound is extremely loose and already holds for much
-    smaller d. *)
-
+(* lint: allow dead-export — test seam: test_core_analysis checks one run's
+   layer totals *)
 val run_poisson : rng:Churnet_util.Prng.t -> n:int -> d:int -> unit -> result
 (** The {e extended} onion-skin process of Section 7.2.4 (the Poisson
     counterpart used to prove Theorem 4.13): the population is split into

@@ -103,4 +103,5 @@ val encode : Churnet_util.Codec.writer -> t -> unit
 (** Serialize the model for checkpoints, including the lazily pre-drawn
     pending jump (already taken from the churn PRNG, hence state). *)
 
+(* lint: allow dead-export — test seam: test_codec round-trips a mid-run model *)
 val decode : Churnet_util.Codec.reader -> t

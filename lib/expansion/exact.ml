@@ -40,4 +40,3 @@ let h_out_with_witness snap =
   (!best, !set)
 
 let h_out snap = fst (h_out_with_witness snap)
-let is_expander snap ~epsilon = h_out snap > epsilon

@@ -447,7 +447,7 @@ let f2 ~seed ~scale =
         Stats.Acc.mean acc
       in
       let sdg = mean_cov Models.SDG and pdg = mean_cov Models.PDG in
-      let theory = 1. -. exp (-.(float_of_int d /. 10.)) in
+      let theory = Bounds.coverage_target_sdg ~d in
       Table.add_row table
         [
           string_of_int d;

@@ -117,8 +117,8 @@ let f3 ~seed ~scale =
     (fun i d ->
       let c_sdg = censuses.(2 * i) in
       let c_pdg = censuses.((2 * i) + 1) in
-      let b_sdg = exp (-2. *. float_of_int d) /. 6. in
-      let b_pdg = exp (-2. *. float_of_int d) /. 18. in
+      let b_sdg = Bounds.isolated_lower_sdg ~d in
+      let b_pdg = Bounds.isolated_lower_pdg ~d in
       Table.add_row table
         [
           string_of_int d;

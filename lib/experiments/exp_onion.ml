@@ -31,7 +31,7 @@ let f5 ~seed ~scale =
           r.growth_factors
       done;
       let frac = float_of_int !successes /. float_of_int trials in
-      let bound = Float.max 0. (1. -. (4. *. exp (-.(float_of_int d /. 100.)))) in
+      let bound = Bounds.onion_success_lower ~d in
       Table.add_row table
         [
           string_of_int d;

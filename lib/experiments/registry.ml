@@ -88,23 +88,6 @@ let figures = List.filter (fun e -> e.group = "figures") all
 let extensions = List.filter (fun e -> e.group = "extensions") all
 let theory = List.filter (fun e -> e.group = "theory") all
 
-(* Resolve an id filter, refusing to silently drop anything: a misspelled
-   id used to shrink the result list with no error at all. *)
-let select ?ids () =
-  match ids with
-  | None -> all
-  | Some wanted ->
-      let wanted = List.map String.uppercase_ascii wanted in
-      let known id = List.exists (fun e -> String.uppercase_ascii e.id = id) all in
-      let unknown = List.filter (fun id -> not (known id)) wanted in
-      if unknown <> [] then
-        invalid_arg
-          (Printf.sprintf
-             "Registry.run_all: unknown experiment id(s): %s (valid ids: %s)"
-             (String.concat ", " unknown)
-             (String.concat ", " (List.map (fun e -> e.id) all)));
-      List.filter (fun e -> List.mem (String.uppercase_ascii e.id) wanted) all
-
 (* One cell by id, with the run parameters supplied by the caller (the
    sweep planner hands every cell its own seed and scale from the grid
    config) instead of the CLI's single baked-in --seed/--scale pair. *)
@@ -116,14 +99,6 @@ let run_cell ~id ~seed ~scale =
         (Printf.sprintf "Registry.run_cell: unknown experiment id %S (valid ids: %s)"
            id
            (String.concat ", " (List.map (fun e -> e.id) all)))
-
-let run_all ?ids ~seed ~scale () =
-  List.map (fun e -> e.run ~seed ~scale) (select ?ids ())
-
-let run_timed ?ids ~seed ~scale () =
-  List.map
-    (fun e -> Telemetry.measure ~seed ~scale (fun () -> e.run ~seed ~scale))
-    (select ?ids ())
 
 let summary reports =
   let table = Churnet_util.Table.create [ "id"; "experiment"; "result" ] in

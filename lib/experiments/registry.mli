@@ -25,23 +25,6 @@ val run_cell : id:string -> seed:int -> scale:Scale.t -> Report.t
     and scale from the grid config rather than one baked-in CLI pair.
     Raises [Invalid_argument] naming the valid ids on an unknown id. *)
 
-val run_all :
-  ?ids:string list -> seed:int -> scale:Scale.t -> unit -> Report.t list
-(** Run the selected experiments (default: all) and return their reports
-    in registry order.  Ids are matched case-insensitively; raises
-    [Invalid_argument] naming every unknown id (and the valid ones)
-    instead of silently dropping it. *)
-
-val run_timed :
-  ?ids:string list ->
-  seed:int ->
-  scale:Scale.t ->
-  unit ->
-  (Report.t * Telemetry.t) list
-(** Like {!run_all} but wraps each experiment in
-    {!Telemetry.measure}, pairing every report with its wall-clock and
-    GC telemetry.  Same id validation. *)
-
 val summary : Report.t list -> Churnet_util.Table.t
 (** Build the final roll-up table of check outcomes. *)
 

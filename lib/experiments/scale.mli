@@ -10,12 +10,9 @@ type t = Smoke | Standard | Full | XL
 val of_string : string -> t option
 val to_string : t -> string
 
-val all : t list
-(** Every tier, smallest first. *)
-
 val names : string list
-(** The parseable tier names in [all] order — for CLI error messages
-    that must list the valid values. *)
+(** The parseable tier names, smallest tier first — for CLI error
+    messages that must list the valid values. *)
 
 val pick : ?xl:'a -> t -> smoke:'a -> standard:'a -> full:'a -> 'a
 (** Select a value by scale.  [?xl] defaults to the [full] value, so

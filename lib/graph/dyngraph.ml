@@ -499,10 +499,6 @@ let out_targets t id =
   done;
   !acc
 
-let out_slots_raw t id =
-  let s = get_slot t id in
-  Array.sub t.out (s * t.d) t.d
-
 let out_slot t id slot =
   let s = get_slot t id in
   if slot < 0 || slot >= t.d then invalid_arg "Dyngraph.out_slot: slot out of range";
@@ -694,7 +690,25 @@ let snapshot t =
   done;
   Snapshot.of_csr ~ids ~births ~offsets ~adj:(Array.sub !buf 0 !len) ~out_deg
 
-let check_invariants t =
+(* Every stored slot index must address a used slot before anything
+   indexes by it.  A decoded arena is checked with this first, so a
+   corrupt index reads as an [Error], not an out-of-bounds access. *)
+let slot_range_error t =
+  let slot_ok s = s >= -1 && s < t.used in
+  let bad_link = ref false and bad_free = ref false in
+  for s = 0 to t.used - 1 do
+    if not (slot_ok t.prev_slot.(s) && slot_ok t.next_slot.(s)) then bad_link := true
+  done;
+  Intvec.iter (fun s -> if s < 0 || s >= t.used then bad_free := true) t.free;
+  if not (slot_ok t.oldest_slot && slot_ok t.youngest_slot) then
+    Some "birth-list end outside the arena"
+  else if !bad_link then Some "birth-list link outside the arena"
+  else if not (Array.for_all slot_ok t.slot_of_id) then Some "id maps to a slot outside the arena"
+  else if !bad_free then Some "free slot outside the arena"
+  else if t.alive_len > Array.length t.alive then Some "alive count exceeds the alive array"
+  else None
+
+let check_consistency t =
   let err = ref None in
   let fail fmt = Printf.ksprintf (fun s -> if !err = None then err := Some s) fmt in
   (* alive array, alive_pos and the id map agree *)
@@ -765,27 +779,33 @@ let check_invariants t =
   in
   iter_alive t (fun id ->
       let s = slot_of t id in
-      let row = s * t.d in
-      for i = 0 to t.d - 1 do
-        let target = t.out.(row + i) in
-        if target >= 0 then begin
-          if target = id then fail "self-loop at node %d" id;
-          let ts = slot_of t target in
-          if ts < 0 then fail "node %d has slot to dead node %d" id target
-          else if count_in ts id <> count_row s target then
-            fail "multiplicity mismatch %d->%d: slots %d, recorded %d" id target
-              (count_row s target) (count_in ts id)
-        end
-      done;
-      Intvec.iter
-        (fun src ->
-          let ss = slot_of t src in
-          if ss < 0 then fail "in-edge from dead node %d at %d" src id
-          else if count_row ss id <> count_in s src then
-            fail "multiplicity mismatch %d->%d: slots %d, recorded %d" src id
-              (count_row ss id) (count_in s src))
-        t.in_edges.(s));
+      (* an unmapped alive id was reported above *)
+      if s >= 0 then begin
+        let row = s * t.d in
+        for i = 0 to t.d - 1 do
+          let target = t.out.(row + i) in
+          if target >= 0 then begin
+            if target = id then fail "self-loop at node %d" id;
+            let ts = slot_of t target in
+            if ts < 0 then fail "node %d has slot to dead node %d" id target
+            else if count_in ts id <> count_row s target then
+              fail "multiplicity mismatch %d->%d: slots %d, recorded %d" id target
+                (count_row s target) (count_in ts id)
+          end
+        done;
+        Intvec.iter
+          (fun src ->
+            let ss = slot_of t src in
+            if ss < 0 then fail "in-edge from dead node %d at %d" src id
+            else if count_row ss id <> count_in s src then
+              fail "multiplicity mismatch %d->%d: slots %d, recorded %d" src id
+                (count_row ss id) (count_in s src))
+          t.in_edges.(s)
+      end);
   match !err with None -> Ok () | Some e -> Error e
+
+let check_invariants t =
+  match slot_range_error t with Some e -> Error e | None -> check_consistency t
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint support                                                  *)
@@ -843,6 +863,14 @@ let decode r =
   let cap = Codec.read_varint r in
   let used = Codec.read_varint r in
   if cap < 1 || used < 0 || used > cap then fail "bad arena bounds";
+  (* Bound every allocation before making it.  The arena doubles only
+     when full, and [used] never shrinks, so cap <= max initial_cap
+     (2 used).  Each of the used * d out-slots below is at least one
+     payload byte; an empty arena has none to bound d by, and no run
+     checkpoints one, so its degree is capped outright. *)
+  if cap > max initial_cap (2 * used) then fail "arena larger than its growth allows";
+  if (used > 0 && d > Codec.remaining r / used) || (used = 0 && d > 4096) then
+    fail "degree exceeds the payload";
   let free = Intvec.decode r in
   let prefix fill =
     let a = Array.make cap fill in
@@ -869,11 +897,9 @@ let decode r =
   let base = Codec.read_varint r in
   let window_len = Codec.read_varint r in
   let window = Codec.read_varint r in
-  if window_len < 1 || window < 0 || window > window_len then fail "bad id window";
-  let slot_of_id = Array.make window_len (-1) in
-  for i = 0 to window - 1 do
-    slot_of_id.(i) <- Codec.read_varint r
-  done;
+  if window_len < 1 || window < 0 || window > window_len || window > Codec.remaining r
+  then fail "bad id window";
+  let mapped = Array.init window (fun _ -> Codec.read_varint r) in
   let alive_len = Codec.read_varint r in
   if alive_len < 0 || alive_len > used then fail "bad alive count";
   let alive = Array.make (max 1024 alive_len) (-1) in
@@ -881,7 +907,12 @@ let decode r =
     alive.(i) <- Codec.read_varint r
   done;
   let next_id = Codec.read_varint r in
-  if next_id < base || next_id - base <> window then fail "id window out of sync";
+  if base < 0 || next_id < base || next_id - base <> window then fail "id window out of sync";
+  (* The window starts at 1024 cells and only ever doubles, to less than
+     four times the id span it must cover (see ensure_id_window). *)
+  if window_len > 1024 && window_len / 4 >= next_id then fail "id window larger than its growth allows";
+  let slot_of_id = Array.make window_len (-1) in
+  Array.blit mapped 0 slot_of_id 0 window;
   let t =
     {
       d;

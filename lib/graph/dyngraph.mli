@@ -125,15 +125,11 @@ val birth_of : t -> node_id -> int
 val out_targets : t -> node_id -> node_id list
 (** Current non-empty out-slot targets (with multiplicity). *)
 
-val out_slots_raw : t -> node_id -> node_id array
-(** Copy of the raw slot array (length [d], -1 = empty slot).  Slot
-    indices are stable, which lets the discretized flooding process of
-    Definition 4.3 verify that a specific edge survived a whole unit
-    time interval. *)
-
 val out_slot : t -> node_id -> int -> node_id
 (** [out_slot t id i] is the current target of slot [i] of [id] (-1 =
-    empty), without copying the slot array.  Raises [Invalid_argument] on
+    empty).  Slot indices are stable, which lets the discretized flooding
+    process of Definition 4.3 verify that a specific edge survived a
+    whole unit time interval.  Raises [Invalid_argument] on
     a slot index outside [0, d). *)
 
 val in_neighbors : t -> node_id -> node_id list
@@ -169,9 +165,13 @@ val degree : t -> node_id -> int
 val out_degree : t -> node_id -> int
 (** Number of filled out-slots (<= d). *)
 
+(* lint: allow dead-export — test seam: test_graph and test_models check the
+   edge census *)
 val edge_count : t -> int
 (** Number of out-slot edges currently alive (with multiplicity). *)
 
+(* lint: allow dead-export — test seam: test_graph and test_models check birth
+   order *)
 val oldest_alive : t -> node_id option
 (** Minimum id among alive nodes, i.e. the oldest node.  O(1): the arena
     threads a birth-ordered list through the alive slots. *)
@@ -184,6 +184,8 @@ val newest_alive : t -> node_id option
 val snapshot : t -> Snapshot.t
 (** Freeze the current topology for analysis. *)
 
+(* lint: allow dead-export — test seam: arena safety check the graph, model and
+   p2p tests run *)
 val check_invariants : t -> (unit, string) result
 (** Internal-consistency audit used by the test-suite: slot/in-edge
     symmetry, alive-index integrity, degree bounds. *)

@@ -108,18 +108,6 @@ let replay ?upto t =
   in
   Snapshot.make ~ids ~births ~adj:adj_arrays ~out_deg:(Array.make (Array.length ids) 0)
 
-let population_series t =
-  let evts = events t in
-  let pop = ref 0 in
-  Array.map
-    (fun e ->
-      (match e with
-      | Birth _ -> incr pop
-      | Death _ -> decr pop
-      | Edge _ -> ());
-      !pop)
-    evts
-
 let to_string t =
   let buf = Buffer.create 4096 in
   Array.iter

@@ -26,12 +26,10 @@ type t
 
 val create : unit -> t
 val length : t -> int
+(* lint: allow dead-export — test seam: test_event_log and test_flood read the
+   recorded stream *)
 val events : t -> event array
 (** Copy of the recorded events, in order. *)
-
-val record : t -> event -> unit
-(** Append one event (used by the hooks, and by tests building synthetic
-    logs). *)
 
 val attach : t -> Dyngraph.t -> unit
 (** Start recording the graph's births, deaths and regeneration edges
@@ -43,9 +41,6 @@ val detach : t -> Dyngraph.t -> unit
 val replay : ?upto:int -> t -> Snapshot.t
 (** Rebuild the topology after the first [upto] events (default: all).
     Nodes are indexed as in any snapshot: oldest first. *)
-
-val population_series : t -> int array
-(** Alive-node count after each event. *)
 
 val to_string : t -> string
 (** Line-based format: [B id birth t1,t2,...], [E src dst], [D id]. *)

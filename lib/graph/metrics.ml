@@ -20,25 +20,6 @@ let global_clustering snap =
   let tri, wedges = triangles_and_wedges snap in
   if wedges = 0 then nan else 3. *. float_of_int tri /. float_of_int wedges
 
-let mean_local_clustering snap =
-  let n = Snapshot.n snap in
-  let acc = ref 0. and count = ref 0 in
-  for v = 0 to n - 1 do
-    let deg = Snapshot.degree snap v in
-    if deg >= 2 then begin
-      let links = ref 0 in
-      for i = 0 to deg - 1 do
-        let a = Snapshot.neighbor snap v i in
-        for j = i + 1 to deg - 1 do
-          if Snapshot.mem_edge snap a (Snapshot.neighbor snap v j) then incr links
-        done
-      done;
-      acc := !acc +. (2. *. float_of_int !links /. float_of_int (deg * (deg - 1)));
-      incr count
-    end
-  done;
-  if !count = 0 then nan else !acc /. float_of_int !count
-
 let degree_assortativity snap =
   let pairs = ref [] in
   let n = Snapshot.n snap in
@@ -54,17 +35,18 @@ let degree_assortativity snap =
   done;
   Churnet_util.Stats.pearson (Array.of_list !pairs)
 
-let sample_bfs ~rng ?(sources = 16) snap =
+(* BFS from 16 random vertices, or from every vertex of a smaller graph. *)
+let sample_bfs ~rng snap =
   let n = Snapshot.n snap in
-  let sources = min sources n in
+  let sources = min 16 n in
   let picks =
     if sources = n then Array.init n Fun.id
     else Prng.sample_without_replacement rng sources n
   in
   Array.map (fun s -> Snapshot.bfs snap s) picks
 
-let mean_distance ~rng ?sources snap =
-  let runs = sample_bfs ~rng ?sources snap in
+let mean_distance ~rng snap =
+  let runs = sample_bfs ~rng snap in
   let acc = ref 0. and count = ref 0 in
   Array.iter
     (fun dist ->
@@ -78,8 +60,8 @@ let mean_distance ~rng ?sources snap =
     runs;
   if !count = 0 then nan else !acc /. float_of_int !count
 
-let diameter_estimate ~rng ?sources snap =
-  let runs = sample_bfs ~rng ?sources snap in
+let diameter_estimate ~rng snap =
+  let runs = sample_bfs ~rng snap in
   Array.fold_left
     (fun best dist -> Array.fold_left (fun b d -> if d > b then d else b) best dist)
     0 runs

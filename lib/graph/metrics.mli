@@ -7,24 +7,6 @@ val global_clustering : Snapshot.t -> float
 (** Transitivity: 3 x (number of triangles) / (number of wedges);
     [nan] when the graph has no wedge. *)
 
-val mean_local_clustering : Snapshot.t -> float
-(** Watts-Strogatz average of per-vertex clustering coefficients over
-    vertices of degree >= 2. *)
-
-val degree_assortativity : Snapshot.t -> float
-(** Pearson correlation of the degrees at the two endpoints of a uniform
-    random edge (Newman's r); [nan] for degree-regular or empty graphs. *)
-
-val mean_distance :
-  rng:Churnet_util.Prng.t -> ?sources:int -> Snapshot.t -> float
-(** Average shortest-path distance estimated by BFS from [sources]
-    (default 16) random vertices, over reachable pairs. *)
-
-val diameter_estimate :
-  rng:Churnet_util.Prng.t -> ?sources:int -> Snapshot.t -> int
-(** Max eccentricity observed over the sampled BFS sources — a lower
-    bound on the true diameter of the largest component. *)
-
 val degree_gini : Snapshot.t -> float
 (** Gini coefficient of the degree sequence: 0 = perfectly regular,
     towards 1 = extremely skewed. *)
@@ -37,8 +19,15 @@ type fingerprint = {
   degree_gini : float;
   global_clustering : float;
   assortativity : float;
+      (** Pearson correlation of the degrees at the two endpoints of a
+          uniform random edge (Newman's r); [nan] for degree-regular or
+          empty graphs. *)
   mean_distance : float;
+      (** average shortest-path distance over reachable pairs, by BFS
+          from 16 random vertices (every vertex of a smaller graph) *)
   diameter_lb : int;
+      (** max eccentricity over the same BFS sources — a lower bound on
+          the true diameter of the largest component *)
   giant_fraction : float;
 }
 

@@ -84,20 +84,6 @@ let iter_neighbors t i f =
     f t.adj.(k)
   done
 
-let neighbor t i k =
-  if k < 0 || k >= degree t i then invalid_arg "Snapshot.neighbor: rank out of range";
-  t.adj.(t.offsets.(i) + k)
-
-let mem_edge t i j =
-  let lo = ref t.offsets.(i) and hi = ref (t.offsets.(i + 1) - 1) in
-  let found = ref false in
-  while !lo <= !hi && not !found do
-    let mid = (!lo + !hi) / 2 in
-    let v = t.adj.(mid) in
-    if v = j then found := true else if v < j then lo := mid + 1 else hi := mid - 1
-  done;
-  !found
-
 let common_neighbors t i j =
   let ai = ref t.offsets.(i) and bi = ref t.offsets.(j) in
   let ae = t.offsets.(i + 1) and be = t.offsets.(j + 1) in
@@ -227,8 +213,6 @@ let set_of_indices t indices =
   let set = Bitset.create (n t) in
   Array.iter (fun i -> Bitset.add set i) indices;
   set
-
-let indices_by_age t = Array.init (n t) Fun.id
 
 let degree_histogram t =
   let h = Array.make (max_degree t + 1) 0 in

@@ -8,7 +8,7 @@
     The adjacency is stored in CSR form (flat [offsets]/[neighbors]
     arrays): rows are sorted, distinct, and cache-linear to scan, and the
     analysis kernels (BFS, boundary, triangle counting) should iterate
-    with {!iter_neighbors} / {!neighbor} / {!common_neighbors} rather than
+    with {!iter_neighbors} / {!common_neighbors} rather than
     materializing per-row arrays with {!neighbors}. *)
 
 type t
@@ -38,10 +38,20 @@ val of_edges : n:int -> (int * int) list -> t
     undirected edges (ids = indices, births = ids, out_deg = 0). *)
 
 val n : t -> int
+(* lint: allow dead-export — test seam: the differential and replay tests
+   compare snapshots *)
 val ids : t -> int array
+(* lint: allow dead-export — test seam: the differential and graph tests map
+   indices to ids *)
 val id_of_index : t -> int -> int
+(* lint: allow dead-export — test seam: test_graph checks the dense and sparse
+   id lookups *)
 val index_of_id : t -> int -> int option
+(* lint: allow dead-export — test seam: the differential and replay tests
+   compare snapshots *)
 val birth_of_index : t -> int -> int
+(* lint: allow dead-export — test seam: the differential and replay tests
+   compare snapshots *)
 val neighbors : t -> int -> int array
 (** Adjacency of a snapshot index (distinct, sorted) as a fresh array —
     this copies the CSR row; hot paths should use {!iter_neighbors} or
@@ -51,19 +61,13 @@ val iter_neighbors : t -> int -> (int -> unit) -> unit
 (** Apply a function to each neighbor of an index, ascending, without
     allocating. *)
 
-val neighbor : t -> int -> int -> int
-(** [neighbor t i k] is the k-th smallest neighbor of index [i]
-    (0 <= k < [degree t i]); O(1) CSR access. *)
-
-val mem_edge : t -> int -> int -> bool
-(** [mem_edge t i j] iff {i, j} is an edge — binary search in row [i],
-    O(log degree). *)
-
 val common_neighbors : t -> int -> int -> int
 (** Number of shared neighbors of two indices, by sorted-row merge —
     the triangle-counting kernel of {!Metrics}. *)
 
 val degree : t -> int -> int
+(* lint: allow dead-export — test seam: the graph, model and p2p tests check
+   out-degrees *)
 val out_degree : t -> int -> int
 val edge_count : t -> int
 (** Number of undirected edges. *)
@@ -83,10 +87,13 @@ val components : t -> int array * int
 val largest_component : t -> int
 (** Size of the largest connected component. *)
 
+(* lint: allow dead-export — test seam: test_expansion and test_differential
+   check Probe *)
 val boundary : t -> Churnet_util.Bitset.t -> int array
 (** Outer boundary of a set of snapshot indices:
     [∂out(S) = { v ∉ S : ∃ u ∈ S, {u,v} ∈ E }]. *)
 
+(* lint: allow dead-export — test seam: test_differential checks boundary counts *)
 val boundary_size : ?scratch:Churnet_util.Bitset.t -> t -> Churnet_util.Bitset.t -> int
 (** [scratch], when given, is cleared and used as the dedup set instead of
     allocating a fresh bitset per call (its capacity must be >= [n]).
@@ -99,10 +106,6 @@ val expansion : ?scratch:Churnet_util.Bitset.t -> t -> Churnet_util.Bitset.t -> 
 
 val set_of_indices : t -> int array -> Churnet_util.Bitset.t
 (** Bitset over snapshot indices. *)
-
-val indices_by_age : t -> int array
-(** All indices ordered oldest first (i.e. identity, by construction —
-    provided for clarity at call sites). *)
 
 val degree_histogram : t -> int array
 (** [h.(k)] = number of vertices with degree [k]. *)

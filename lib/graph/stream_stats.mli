@@ -28,16 +28,3 @@ type t = {
 
 val collect : Dyngraph.t -> t
 (** One pass over the alive set; O(n) time and counters, no CSR. *)
-
-val boundary_size :
-  ?scratch:Churnet_util.Bitset.t -> Dyngraph.t -> Churnet_util.Bitset.t -> int
-(** [boundary_size g set] counts the distinct alive nodes adjacent to —
-    but outside — [set], which here holds {e node ids} (not snapshot
-    indices).  Dead ids in [set] are ignored.  [?scratch] is cleared and
-    reused as the seen-set, saving the allocation when probing many sets
-    of similar size. *)
-
-val expansion :
-  ?scratch:Churnet_util.Bitset.t -> Dyngraph.t -> Churnet_util.Bitset.t -> float
-(** [boundary_size / cardinal]; nan for the empty set — mirroring
-    [Snapshot.expansion]. *)

@@ -22,6 +22,8 @@ val create : rng:Churnet_util.Prng.t -> ?max_in:int -> n:int -> unit -> t
     address table holds 64 entries, bootstraps from 16 DNS-seed samples
     and swaps up to 8 entries per gossip exchange. *)
 
+(* lint: allow dead-export — test seam: test_p2p and test_alloc read the
+   overlay's graph *)
 val graph : t -> Churnet_graph.Dyngraph.t
 val step : t -> unit
 (** One churn jump followed by one maintenance pass over deficient nodes. *)

@@ -15,6 +15,7 @@ val create :
 (** [cache_size] defaults to 32.  A newborn joins the cache with
     probability 1/2. *)
 
+(* lint: allow dead-export — test seam: test_p2p checks the overlay's graph *)
 val graph : t -> Churnet_graph.Dyngraph.t
 val warm_up : t -> unit
 val snapshot : t -> Churnet_graph.Snapshot.t

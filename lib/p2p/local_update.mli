@@ -18,6 +18,7 @@
 type t
 
 val create : rng:Churnet_util.Prng.t -> n:int -> d:int -> unit -> t
+(* lint: allow dead-export — test seam: test_p2p checks the overlay's graph *)
 val graph : t -> Churnet_graph.Dyngraph.t
 val warm_up : t -> unit
 val snapshot : t -> Churnet_graph.Snapshot.t

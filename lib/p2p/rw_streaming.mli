@@ -12,6 +12,8 @@ val create : rng:Churnet_util.Prng.t -> n:int -> d:int -> unit -> t
 (** Each walk takes [2 * ceil(log2 n)] steps — enough mixing on a
     low-diameter graph. *)
 
+(* lint: allow dead-export — test seam: test_p2p and test_alloc read the
+   overlay's graph *)
 val graph : t -> Churnet_graph.Dyngraph.t
 val warm_up : t -> unit
 val snapshot : t -> Churnet_graph.Snapshot.t

@@ -75,26 +75,3 @@ let plot ?(width = 64) ?(height = 18) ?(logx = false) ?(logy = false) ~title ~xl
       series;
     Buffer.contents buf
   end
-
-let bar ~title entries =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "=== %s ===\n" title);
-  (* Scale by the largest magnitude so negative entries (e.g. a negative
-     assortativity) get a well-defined, non-crashing length. *)
-  let vmax =
-    List.fold_left
-      (fun acc (_, v) -> if Float.is_nan v then acc else Float.max acc (Float.abs v))
-      0. entries
-  in
-  let lmax = List.fold_left (fun acc (l, _) -> max acc (String.length l)) 0 entries in
-  List.iter
-    (fun (label, v) ->
-      let n =
-        if vmax <= 0. || Float.is_nan v then 0
-        else max 0 (int_of_float ((Float.abs v /. vmax *. 50.) +. 0.5))
-      in
-      let glyph = if v < 0. then '-' else '#' in
-      Buffer.add_string buf
-        (Printf.sprintf "%-*s | %s %.4g\n" lmax label (String.make n glyph) v))
-    entries;
-  Buffer.contents buf

@@ -17,8 +17,3 @@ val plot :
 (** Render one chart containing all series (each series gets its own glyph
     from [*+o#@x%&]).  Axis ranges are computed from the data; log scales
     drop non-positive values. *)
-
-val bar : title:string -> (string * float) list -> string
-(** Horizontal bar chart for labelled values.  Bars are scaled by the
-    largest absolute value; negative entries render with ['-'] instead
-    of ['#'], and nan entries render as an empty bar. *)

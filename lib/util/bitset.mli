@@ -33,6 +33,8 @@ val iter : (int -> unit) -> t -> unit
     store is snapshotted before its bits are visited); any other
     concurrent mutation is unspecified. *)
 
+(* lint: allow dead-export — test seam: test_util_structures pins it; no kernel
+   reads words (ROADMAP) *)
 val iter_words : (int -> int64 -> unit) -> t -> unit
 (** [iter_words f t] calls [f offset word] for each 64-bit little-endian
     word of the store, [offset] being the index of the word's lowest bit

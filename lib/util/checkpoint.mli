@@ -44,11 +44,15 @@ val load : path:string -> every:int -> meta:string -> t
     if the stored meta line is not exactly [meta], {!Codec.Error} on a
     corrupt or truncated file. *)
 
+(* lint: allow dead-export — test seam: test/fault/crash_harness.ml reads
+   journals *)
 val inspect : string -> string * int
 (** [inspect path] = (meta line, stored unit count), without meta
     validation.  Used by the fault-injection harness to size kill
     points. *)
 
+(* lint: allow dead-export — test seam: test/fault/crash_harness.ml reads
+   journals *)
 val units : t -> int
 (** Units currently held (restored + stored). *)
 
@@ -56,6 +60,8 @@ val install : t -> unit
 (** Make [t] the ambient journal consulted by {!Parallel}.  At most one
     journal may be installed ([Invalid_argument] otherwise). *)
 
+(* lint: allow dead-export — test seam: test_checkpoint resets the journal
+   between cases *)
 val uninstall : unit -> unit
 val active : unit -> t option
 

@@ -44,9 +44,14 @@ val int_list : writer -> int list -> unit
 
 type reader
 
+(* lint: allow dead-export — test seam: test_codec decodes raw payloads *)
 val reader : ?pos:int -> ?limit:int -> string -> reader
+(** A reader over the string's bytes from offset [pos] (default 0) up to,
+    not including, offset [limit] (default: the string's length). *)
+
 val remaining : reader -> int
-val at_end : reader -> bool
+(** Bytes left to read.  Every encoded field takes at least one byte, so
+    decoders bound their allocations by it before trusting a length. *)
 
 val expect_end : reader -> unit
 (** Raise {!Error} unless the reader consumed its whole input — catches
@@ -65,14 +70,17 @@ val read_int_list : reader -> int list
 
 (** {1 Framing and files} *)
 
+(* lint: allow dead-export — test seam: test_codec pins the CRC-32 check value *)
 val crc32 : string -> int
 (** CRC-32 (IEEE 802.3, reflected polynomial), as used by the frame
     trailer.  Exposed for tests. *)
 
+(* lint: allow dead-export — test seam: test_codec re-frames mutated payloads *)
 val frame : schema:string -> (writer -> unit) -> string
 (** [frame ~schema fill] runs [fill] on a fresh writer and wraps the
     payload in the magic/length/CRC envelope. *)
 
+(* lint: allow dead-export — test seam: test_codec re-frames mutated payloads *)
 val unframe : schema:string -> string -> reader
 (** Validate the envelope and return a reader over the payload. *)
 

@@ -57,39 +57,6 @@ let poisson rng mean =
     end
   end
 
-let geometric rng p =
-  if p <= 0. || p > 1. then invalid_arg "Dist.geometric: p out of (0,1]";
-  if p = 1. then 0
-  else
-    let u = 1. -. Prng.unit_float rng in
-    int_of_float (Float.floor (log u /. log (1. -. p)))
-
-let binomial rng n p =
-  if n < 0 then invalid_arg "Dist.binomial: negative n";
-  if p <= 0. then 0
-  else if p >= 1. then n
-  else if float_of_int n *. p < 32. then begin
-    (* Waiting-time method: each success consumes Geometric(p) >= 1
-       trials; count successes until the n trials are exhausted. *)
-    let q = log (1. -. p) in
-    let rec go count trials_used =
-      let u = 1. -. Prng.unit_float rng in
-      let skip = 1 + int_of_float (Float.floor (log u /. q)) in
-      let trials_used = trials_used + skip in
-      if trials_used > n then count else go (count + 1) trials_used
-    in
-    let c = go 0 0 in
-    min c n
-  end
-  else begin
-    (* Direct Bernoulli sum; n is moderate in all our uses. *)
-    let c = ref 0 in
-    for _ = 1 to n do
-      if Prng.bernoulli rng p then incr c
-    done;
-    !c
-  end
-
 let std_normal rng =
   let u1 = 1. -. Prng.unit_float rng in
   let u2 = Prng.unit_float rng in

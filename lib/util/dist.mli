@@ -7,6 +7,8 @@ val exponential : Prng.t -> float -> float
 (** [exponential rng lambda] samples Exp(lambda) by inversion.
     Mean is [1 /. lambda].  [lambda] must be positive. *)
 
+(* lint: allow dead-export — test seam: test_dist pins it; no model draws from
+   it (ROADMAP) *)
 val poisson : Prng.t -> float -> int
 (** [poisson rng mean] samples a Poisson variate.  Uses Knuth
     multiplication for means below 30 and, for larger means, a sum of
@@ -14,16 +16,13 @@ val poisson : Prng.t -> float -> int
     additivity, O(mean) time, and immune to the [exp (-.mean)]
     underflow that silently caps single-stage Knuth at large means. *)
 
-val geometric : Prng.t -> float -> int
-(** [geometric rng p] is the number of failures before the first success of
-    a Bernoulli(p), i.e. supported on 0, 1, 2, ... *)
-
-val binomial : Prng.t -> int -> float -> int
-(** [binomial rng n p] samples Bin(n, p) in O(min(n, expected)). *)
-
+(* lint: allow dead-export — test seam: test_dist pins it; no model draws from
+   it (ROADMAP) *)
 val std_normal : Prng.t -> float
 (** Standard normal via Box-Muller. *)
 
+(* lint: allow dead-export — test seam: test_dist pins it; no program caller
+   (ROADMAP) *)
 val exponential_pdf : float -> float -> float
 (** [exponential_pdf lambda x] is the density of Exp(lambda) at [x]. *)
 

@@ -14,6 +14,8 @@
 type 'a t
 
 val create : unit -> 'a t
+(* lint: allow dead-export — test seam: test_util_structures checks it against
+   a reference model *)
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 
@@ -27,4 +29,6 @@ val pop : 'a t -> (float * 'a) option
 val peek : 'a t -> (float * 'a) option
 (** Return the minimum-priority element without removing it. *)
 
+(* lint: allow dead-export — test seam: test_util_structures pins it; no
+   program caller (ROADMAP) *)
 val clear : 'a t -> unit

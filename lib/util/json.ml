@@ -323,16 +323,12 @@ let of_string s =
       Error (Printf.sprintf "JSON parse error at offset %d: %s" pos msg)
   | exception Failure msg -> Error (Printf.sprintf "JSON parse error: %s" msg)
 
-let of_string_exn s =
-  match of_string s with Ok v -> v | Error msg -> failwith msg
-
 (* ------------------------------------------------------------------ *)
 (* Accessors                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let member key = function Obj fields -> List.assoc_opt key fields | _ -> None
 let as_string = function String s -> Some s | _ -> None
-let as_bool = function Bool b -> Some b | _ -> None
 let as_int = function Int i -> Some i | _ -> None
 
 let as_float = function

@@ -31,8 +31,6 @@ val to_string : ?pretty:bool -> t -> string
     with two spaces. Strings are escaped per RFC 8259; non-finite
     floats become [null]; finite floats round-trip exactly. *)
 
-val to_channel : ?pretty:bool -> out_channel -> t -> unit
-
 val write_file : ?pretty:bool -> string -> t -> unit
 (** Write to a file (truncating), with a trailing newline. *)
 
@@ -43,16 +41,12 @@ val of_string : string -> (t, string) result
     ['E'] parse as [Int] (falling back to [Float] on overflow); the
     error string includes the byte offset of the failure. *)
 
-val of_string_exn : string -> t
-(** Like {!of_string} but raises [Failure] on malformed input. *)
-
 (** {1 Accessors} (all total — [None]/[[]] on shape mismatch) *)
 
 val member : string -> t -> t option
 (** First binding of the key in an [Obj]. *)
 
 val as_string : t -> string option
-val as_bool : t -> bool option
 val as_int : t -> int option
 
 val as_float : t -> float option

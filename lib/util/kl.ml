@@ -1,6 +1,3 @@
-let entropy p =
-  Array.fold_left (fun acc x -> if x > 0. then acc -. (x *. log x) else acc) 0. p
-
 let check_lengths p q =
   if Array.length p <> Array.length q then invalid_arg "Kl: length mismatch"
 
@@ -21,16 +18,6 @@ let normalize v =
   Array.map (fun x -> x /. total) v
 
 let of_counts counts = normalize (Array.map float_of_int counts)
-
-let cross_entropy p q =
-  check_lengths p q;
-  let acc = ref 0. in
-  Array.iteri
-    (fun i pi ->
-      if pi > 0. then
-        if q.(i) <= 0. then acc := infinity else acc := !acc -. (pi *. log q.(i)))
-    p;
-  !acc
 
 let total_variation p q =
   check_lengths p q;

@@ -7,9 +7,6 @@
     inequality (Theorem A.3).  These functions implement that machinery and
     are used by the demographics experiment (F9). *)
 
-val entropy : float array -> float
-(** Shannon entropy in nats of a probability vector (0 log 0 = 0). *)
-
 val kl_divergence : float array -> float array -> float
 (** [kl_divergence p q] = sum p_i ln (p_i / q_i).  Returns [infinity] when
     [p] puts mass where [q] has none; raises [Invalid_argument] on length
@@ -21,9 +18,6 @@ val normalize : float array -> float array
 
 val of_counts : int array -> float array
 (** Empirical distribution from counts. *)
-
-val cross_entropy : float array -> float array -> float
-(** [cross_entropy p q] = - sum p_i ln q_i. *)
 
 val total_variation : float array -> float array -> float
 (** Total variation distance, (1/2) * L1. *)

@@ -37,7 +37,10 @@ type config = {
           directory; rules key off repo-relative prefixes like "lib/",
           so fixture trees are linted with their own root *)
   baseline_path : string option;
-  json_path : string option;  (** write a [churnet-lint/2] report here *)
+  json_path : string option;
+      (** write a [churnet-lint/2] report here: each finding carries its
+          rule's one-line doc and (for graph rules) the witness call
+          path *)
   update_baseline : bool;
       (** rewrite the baseline to exactly the current findings *)
 }
@@ -62,10 +65,6 @@ val render : outcome -> string
 (** Human-readable report: one
     [file:line:col: [rule] message [path: A -> B]] line per finding
     plus a summary line (and expired-baseline notices). *)
-
-val to_json : outcome -> Json.t
-(** The [churnet-lint/2] report document: each finding carries its
-    rule's one-line doc and (for graph rules) the witness call path. *)
 
 val exit_code : outcome -> int
 (** [0] when {!outcome.findings} is empty, [1] otherwise. *)

@@ -36,9 +36,10 @@ type t = {
   defs : def array;
   calls : int list array;  (* def id -> callee def ids *)
   callers : int list array;  (* def id -> caller def ids *)
-  external_refs : (string * string, int) Hashtbl.t;
-      (* (module, name) -> number of references from OTHER units; also
-         counts qualified references whose value had no parsed def *)
+  external_refs : (string * string, int list) Hashtbl.t;
+      (* (module, name) -> the referring unit of every reference from an
+         OTHER unit; also records qualified references whose value had
+         no parsed def *)
 }
 
 let module_of_path path =
@@ -143,7 +144,7 @@ let build units_list =
   let n = Array.length defs in
   let calls = Array.make n [] in
   let callers = Array.make n [] in
-  let external_refs : (string * string, int) Hashtbl.t = Hashtbl.create 64 in
+  let external_refs : (string * string, int list) Hashtbl.t = Hashtbl.create 64 in
   let unit_modules : (string, int) Hashtbl.t = Hashtbl.create 64 in
   Array.iteri (fun ui u -> Hashtbl.replace unit_modules u.u_module ui) units;
   (* --- references -------------------------------------------------- *)
@@ -153,9 +154,9 @@ let build units_list =
       callers.(callee) <- caller :: callers.(callee)
     end
   in
-  let bump_external m x =
-    let prev = try Hashtbl.find external_refs (m, x) with Not_found -> 0 in
-    Hashtbl.replace external_refs (m, x) (prev + 1)
+  let bump_external ui m x =
+    let prev = try Hashtbl.find external_refs (m, x) with Not_found -> [] in
+    Hashtbl.replace external_refs (m, x) (ui :: prev)
   in
   Array.iteri
     (fun ui u ->
@@ -206,7 +207,7 @@ let build units_list =
                reference through a submodule path (Stats.Histogram.add)
                still marks the export in stats.mli as used *)
             if callee_def.d_unit <> ui then
-              bump_external callee_def.d_module x;
+              bump_external ui callee_def.d_module x;
             (match Lint_tree.enclosing_toplevel tree i with
             | Some (bd : Lint_tree.binding) -> (
                 match
@@ -231,7 +232,7 @@ let build units_list =
                && (match Hashtbl.find_opt unit_modules target_module with
                   | Some tu -> tu <> ui
                   | None -> false)
-            then bump_external target_module x
+            then bump_external ui target_module x
       in
       for i = 0 to ntk - 1 do
         let x = text i in
@@ -350,5 +351,6 @@ let path t ~pred d =
     List.map (fun id -> t.defs.(id)) (up [] d)
   end
 
-let external_ref_count t ~module_ ~name =
-  try Hashtbl.find t.external_refs (module_, name) with Not_found -> 0
+let external_ref_count t ~from ~module_ ~name =
+  let refs = try Hashtbl.find t.external_refs (module_, name) with Not_found -> [] in
+  List.length (List.filter (fun ui -> from t.units.(ui).u_path) refs)

@@ -37,10 +37,11 @@ type t = {
   defs : def array;
   calls : int list array;  (** def id -> callee def ids *)
   callers : int list array;  (** def id -> caller def ids *)
-  external_refs : (string * string, int) Hashtbl.t;
-      (** (module, name) -> number of references from other units;
-          includes qualified references to values without a parsed def
-          (pattern bindings, interface-only names) *)
+  external_refs : (string * string, int list) Hashtbl.t;
+      (** (module, name) -> the referring unit of every reference from
+          another unit (one entry per reference); includes qualified
+          references to values without a parsed def (pattern bindings,
+          interface-only names) *)
 }
 
 val module_of_path : string -> string
@@ -66,6 +67,7 @@ val path : t -> pred:int array -> int -> def list
 (** The witness chain from a root to the given def id under a {!bfs}
     predecessor array, root first; empty when unreachable. *)
 
-val external_ref_count : t -> module_:string -> name:string -> int
+val external_ref_count :
+  t -> from:(string -> bool) -> module_:string -> name:string -> int
 (** How many references to [module_.name] were seen from {e other}
-    units — the dead-export test. *)
+    units whose path satisfies [from] — the dead-export test. *)

@@ -788,8 +788,9 @@ let dead_export =
   {
     name;
     doc =
-      ".mli-declared values never referenced outside their own module are \
-       dead surface; delete them or move them under test-only interfaces";
+      ".mli-declared values never referenced outside their own module (a \
+       reference from test/ does not count) are dead surface; delete them, \
+       or mark a deliberate test seam with a pragma";
     check =
       Project
         (fun p ->
@@ -816,6 +817,7 @@ let dead_export =
                     then
                       if
                         Lint_graph.external_ref_count g ~module_ ~name:vname
+                          ~from:(fun p -> not (under "test" p))
                         = 0
                       then
                         out :=

@@ -46,8 +46,6 @@ type t = {
 }
 
 let span_contains outer i = i >= outer.s_first && i <= outer.s_last
-let span_within inner outer =
-  inner.s_first >= outer.s_first && inner.s_last <= outer.s_last
 
 (* Internal mutable accumulator; converted to the immutable [t] at the
    end.  Bindings carry a mutable toplevel flag because a `let' chain's
@@ -599,21 +597,6 @@ let parse (lex : Lint_lexer.t) =
     loops = Array.of_list (List.rev_map clamp b.lps);
   }
 
-(* The innermost binding whose span contains token [i], preferring later
-   (more deeply nested) bindings on ties. *)
-let enclosing_binding t i =
-  let best = ref None in
-  Array.iter
-    (fun bd ->
-      if span_contains bd.b_span i then
-        match !best with
-        | None -> best := Some bd
-        | Some prev ->
-            let w b = b.b_span.s_last - b.b_span.s_first in
-            if w bd <= w prev then best := Some bd)
-    t.bindings;
-  !best
-
 (* The innermost *toplevel* binding containing token [i]. *)
 let enclosing_toplevel t i =
   let best = ref None in
@@ -627,9 +610,6 @@ let enclosing_toplevel t i =
             if w bd <= w prev then best := Some bd)
     t.bindings;
   !best
-
-let in_lambda t i = Array.exists (fun s -> span_contains s i) t.lambdas
-let in_loop t i = Array.exists (fun s -> span_contains s i) t.loops
 
 (* Is token [i] inside a lambda or loop that is itself nested inside
    another lambda or loop?  (I.e., would an allocation here happen per

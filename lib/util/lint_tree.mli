@@ -69,21 +69,9 @@ val parse : Lint_lexer.t -> t
 val span_contains : span -> int -> bool
 (** [span_contains s i] is true when token index [i] lies in [s]. *)
 
-val span_within : span -> span -> bool
-(** [span_within inner outer]: does [inner] lie entirely in [outer]? *)
-
-val enclosing_binding : t -> int -> binding option
-(** Innermost binding whose span contains token [i]. *)
-
 val enclosing_toplevel : t -> int -> binding option
 (** Innermost {e top-level} binding whose span contains token [i] — the
     unit of the call graph. *)
-
-val in_lambda : t -> int -> bool
-(** Is token [i] inside a [fun]/[function] body? *)
-
-val in_loop : t -> int -> bool
-(** Is token [i] inside a [for]/[while] body? *)
 
 val in_nested_lambda_or_loop : t -> int -> bool
 (** Is token [i] inside a lambda or loop that is itself nested inside

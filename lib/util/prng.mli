@@ -26,30 +26,42 @@ val split : t -> t
     advancing [t].  Useful to give each replica of an experiment its own
     stream. *)
 
+(* lint: allow dead-export — test seam: test_prng checks that a copy replays
+   the stream *)
 val copy : t -> t
 (** [copy t] duplicates the current state (same future outputs). *)
 
+(* lint: allow dead-export — test seam: test_prng's known-answer tests pin the
+   raw stream *)
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform on [0, bound-1].  [bound] must be positive. *)
 
+(* lint: allow dead-export — test seam: test_prng pins it; no simulation draws
+   from it (ROADMAP) *)
 val int_in : t -> int -> int -> int
 (** [int_in t lo hi] is uniform on the inclusive range [lo, hi]. *)
 
+(* lint: allow dead-export — test seam: test_api_surface pins it; no simulation
+   draws from it (ROADMAP) *)
 val float : t -> float -> float
 (** [float t bound] is uniform on [0, bound). *)
 
 val unit_float : t -> float
 (** Uniform on [0,1) with 53 bits of precision. *)
 
+(* lint: allow dead-export — test seam: test_prng pins it; no simulation draws
+   from it (ROADMAP) *)
 val bool : t -> bool
 (** Fair coin. *)
 
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
 
+(* lint: allow dead-export — test seam: test_prng pins it; no simulation draws
+   from it (ROADMAP) *)
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
 

@@ -1,71 +1,22 @@
 module Acc = struct
-  type t = {
-    mutable n : int;
-    mutable mean : float;
-    mutable m2 : float;
-    mutable lo : float;
-    mutable hi : float;
-  }
+  type t = { mutable n : int; mutable mean : float; mutable m2 : float }
 
-  let create () = { n = 0; mean = 0.; m2 = 0.; lo = infinity; hi = neg_infinity }
+  let create () = { n = 0; mean = 0.; m2 = 0. }
 
   let add t x =
     t.n <- t.n + 1;
     let delta = x -. t.mean in
     t.mean <- t.mean +. (delta /. float_of_int t.n);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-    if x < t.lo then t.lo <- x;
-    if x > t.hi then t.hi <- x
+    t.m2 <- t.m2 +. (delta *. (x -. t.mean))
 
   let add_int t x = add t (float_of_int x)
-  let count t = t.n
   let mean t = if t.n = 0 then nan else t.mean
   let variance t = if t.n < 2 then nan else t.m2 /. float_of_int (t.n - 1)
-  let stddev t = sqrt (variance t)
-  let min t = t.lo
-  let max t = t.hi
-
-  let stderr_mean t =
-    if t.n < 2 then nan else stddev t /. sqrt (float_of_int t.n)
-
-  let ci95 t =
-    let half = 1.96 *. stderr_mean t in
-    (mean t -. half, mean t +. half)
-
-  let copy t = { n = t.n; mean = t.mean; m2 = t.m2; lo = t.lo; hi = t.hi }
-
-  (* Always a fresh record: returning [a] itself when [b] is empty would
-     alias the mutable input, so a later [add] on the merge result would
-     silently mutate [a]. *)
-  let merge a b =
-    if a.n = 0 then copy b
-    else if b.n = 0 then copy a
-    else begin
-      let n = a.n + b.n in
-      let delta = b.mean -. a.mean in
-      let mean = a.mean +. (delta *. float_of_int b.n /. float_of_int n) in
-      let m2 =
-        a.m2 +. b.m2
-        +. (delta *. delta *. float_of_int a.n *. float_of_int b.n /. float_of_int n)
-      in
-      { n; mean; m2; lo = Float.min a.lo b.lo; hi = Float.max a.hi b.hi }
-    end
 end
 
 let mean xs =
   let n = Array.length xs in
   if n = 0 then nan else Array.fold_left ( +. ) 0. xs /. float_of_int n
-
-let variance xs =
-  let n = Array.length xs in
-  if n < 2 then nan
-  else begin
-    let m = mean xs in
-    let s = Array.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0. xs in
-    s /. float_of_int (n - 1)
-  end
-
-let stddev xs = sqrt (variance xs)
 
 let quantile xs q =
   let n = Array.length xs in

@@ -7,43 +7,30 @@
 
 module Acc : sig
   type t
-  (** Welford accumulator for count / mean / variance / min / max. *)
+  (** Welford accumulator for the mean and variance. *)
 
   val create : unit -> t
   val add : t -> float -> unit
   val add_int : t -> int -> unit
-  val count : t -> int
   val mean : t -> float
   (** Mean; [nan] when empty. *)
 
+  (* lint: allow dead-export — test seam: test_dist and test_stats measure
+     sample variances with it *)
   val variance : t -> float
   (** Unbiased sample variance; [nan] when count < 2. *)
-
-  val stddev : t -> float
-  val min : t -> float
-  val max : t -> float
-  val stderr_mean : t -> float
-  (** Standard error of the mean. *)
-
-  val ci95 : t -> float * float
-  (** Normal-approximation 95% confidence interval for the mean. *)
-
-  val merge : t -> t -> t
-  (** Combine two accumulators (parallel composition).  The result is
-      always a fresh accumulator — never an alias of either input — so
-      adding to it cannot mutate the arguments. *)
 end
 
 (** {1 Batch helpers} *)
 
 val mean : float array -> float
-val variance : float array -> float
-val stddev : float array -> float
 val median : float array -> float
 val quantile : float array -> float -> float
 (** [quantile xs q] with linear interpolation; [q] in [0,1].  Does not
     mutate its argument. *)
 
+(* lint: allow dead-export — test seam: test_stats pins it; no program caller
+   (ROADMAP) *)
 val fraction_where : ('a -> bool) -> 'a array -> float
 (** Fraction of elements satisfying the predicate; [nan] when empty. *)
 
@@ -60,15 +47,25 @@ module Histogram : sig
       bump {!nan_count} — because a NaN would otherwise land in bin 0 by
       floating-comparison accident and distort the distribution. *)
 
+  (* lint: allow dead-export — test seam: test_stats pins the histogram; no
+     experiment bins (ROADMAP) *)
   val counts : t -> int array
 
+  (* lint: allow dead-export — test seam: test_stats pins the histogram; no
+     experiment bins (ROADMAP) *)
   val total : t -> int
   (** Samples binned so far; excludes NaN samples. *)
 
+  (* lint: allow dead-export — test seam: test_stats pins the histogram; no
+     experiment bins (ROADMAP) *)
   val nan_count : t -> int
   (** NaN samples rejected by {!add}. *)
 
+  (* lint: allow dead-export — test seam: test_stats pins the histogram; no
+     experiment bins (ROADMAP) *)
   val bin_mid : t -> int -> float
+  (* lint: allow dead-export — test seam: test_stats pins the histogram; no
+     experiment bins (ROADMAP) *)
   val normalized : t -> float array
   (** Per-bin probability mass (counts / total). *)
 end
@@ -92,9 +89,12 @@ val pearson : (float * float) array -> float
 val binomial_ci95 : successes:int -> trials:int -> float * float
 (** Wilson-score 95% interval for a proportion. *)
 
+(* lint: allow dead-export — test seam: test_prng checks Prng.int uniformity
+   with it *)
 val chi_square_uniform : int array -> float
 (** Chi-square statistic of observed counts against the uniform law. *)
 
+(* lint: allow dead-export — test seam: test_stats' goodness-of-fit oracle *)
 val ks_statistic : float array -> (float -> float) -> float
 (** One-sample Kolmogorov-Smirnov statistic: sup |F_empirical - F| for a
     given CDF [F].  Does not mutate its argument.  For n samples, values

@@ -7,15 +7,14 @@ let check_bool = Alcotest.(check bool)
 let close ?(eps = 1e-9) msg a b = check_bool msg true (Float.abs (a -. b) < eps)
 
 let test_headline_formulas () =
-  close "sdg isolated" (1000. *. exp (-6.) /. 6.) (Bounds.isolated_lower_sdg ~n:1000 ~d:3);
-  close "pdg isolated" (1000. *. exp (-6.) /. 18.) (Bounds.isolated_lower_pdg ~n:1000 ~d:3);
+  close "sdg isolated" (exp (-6.) /. 6.) (Bounds.isolated_lower_sdg ~d:3);
+  close "pdg isolated" (exp (-6.) /. 18.) (Bounds.isolated_lower_pdg ~d:3);
   close "sdg coverage" (1. -. exp (-1.)) (Bounds.coverage_target_sdg ~d:10);
-  close "pdg coverage" (1. -. exp (-1.)) (Bounds.coverage_target_pdg ~d:20);
   close "onion bound clamps" 0. (Bounds.onion_success_lower ~d:10)
 
 let test_bounds_match_isolated_module () =
-  close "sdg agrees" (Isolated.paper_bound_sdg ~n:500 ~d:4) (Bounds.isolated_lower_sdg ~n:500 ~d:4);
-  close "pdg agrees" (Isolated.paper_bound_pdg ~n:500 ~d:4) (Bounds.isolated_lower_pdg ~n:500 ~d:4)
+  close "sdg agrees" (Isolated.paper_bound_sdg ~n:500 ~d:4) (500. *. Bounds.isolated_lower_sdg ~d:4);
+  close "pdg agrees" (Isolated.paper_bound_pdg ~n:500 ~d:4) (500. *. Bounds.isolated_lower_pdg ~d:4)
 
 let test_edge_prob_formulas () =
   (* age 1 (k = 0): exactly 1/(n-1). *)

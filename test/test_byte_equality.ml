@@ -25,10 +25,12 @@ let golden_seed = 42
    Capped_model (X1), Lazy_regen_model (A1), the p2p overlays + PDGR (F10),
    Flood.Async + discretized flooding (F11), Gossip (X2), the arrival-rate
    sweep (S1), the isolated-node census (E2), the p2p overlay snapshots
-   (F12) and Burst_model (X3). *)
+   (F12) and Burst_model (X3).  F2, F3 and F5 pin the cells that print a
+   paper bound next to the measurement (Theorem 3.8, Lemma 3.5 / 4.10 and
+   Lemma 3.9), so the bound's single home in Bounds is checked end to end. *)
 let experiment_ids =
   [ "E1"; "E10"; "F4"; "F6"; "F8"; "F14"; "X1"; "A1"; "F10"; "F11"; "X2"; "S1"; "E2";
-    "F12"; "X3" ]
+    "F12"; "X3"; "F2"; "F3"; "F5" ]
 
 let experiment_render id =
   match Registry.find id with

@@ -12,7 +12,6 @@ open Churnet_util
 module Dyngraph = Churnet_graph.Dyngraph
 module Streaming_model = Churnet_core.Streaming_model
 module Poisson_model = Churnet_core.Poisson_model
-module Models = Churnet_core.Models
 module Flood = Churnet_core.Flood
 module Onion = Churnet_core.Onion
 module Poisson_churn = Churnet_churn.Poisson_churn
@@ -257,8 +256,6 @@ let test_poisson_churn_roundtrip () =
     check_bool (Printf.sprintf "decision %d" i) true (d1 = d2 && dt1 = dt2)
   done
 
-let model_bytes m = encode_bytes Models.encode m
-
 let test_streaming_model_roundtrip () =
   let m = Streaming_model.create ~rng:(Prng.create 31) ~n:120 ~d:6 ~regenerate:true () in
   Streaming_model.warm_up m;
@@ -287,19 +284,6 @@ let test_poisson_model_roundtrip () =
   check_string "identical after 400 more jumps"
     (String.escaped (encode_bytes Poisson_model.encode m))
     (String.escaped (encode_bytes Poisson_model.encode m'))
-
-let test_models_dispatch () =
-  let s = Models.create ~rng:(Prng.create 33) Models.SDGR ~n:80 ~d:4 in
-  Models.warm_up_batch s;
-  let s' = roundtrip Models.encode Models.decode s in
-  check_string "kind preserved" (Models.kind_name (Models.kind s))
-    (Models.kind_name (Models.kind s'));
-  check_string "payload identical" (String.escaped (model_bytes s))
-    (String.escaped (model_bytes s'));
-  expect_codec_error "bad model tag" (fun () ->
-      let w = Codec.writer () in
-      Codec.u8 w 9;
-      Models.decode (Codec.reader (Codec.contents w)))
 
 (* --- in-flight Flood state --- *)
 
@@ -483,6 +467,18 @@ let test_write_file_concurrent_same_path () =
     (Array.for_all (fun v -> v = (w * 1000) + rnd) bulk && Array.length bulk = 4096);
   check_int "no tmp leftovers" 0 (List.length (tmp_leftovers dir))
 
+(* One encoded 300-birth arena, shared by every mutation below. *)
+let mutation_target = lazy (graph_bytes (fst (scripted_graph ~seed:21 ~births:300 ~p_kill:0.4)))
+
+(* 1-3 bytes of the payload overwritten with arbitrary values. *)
+let arb_mutation =
+  QCheck.(list_of_size (Gen.int_range 1 3) (pair (int_bound 1_000_000) (int_bound 255)))
+
+let mutate bytes edits =
+  let b = Bytes.of_string bytes in
+  List.iter (fun (pos, v) -> Bytes.set b (pos mod Bytes.length b) (Char.chr v)) edits;
+  Bytes.to_string b
+
 let qcheck_props =
   [
     QCheck.Test.make ~name:"varint round-trips any int" ~count:500 QCheck.int (fun v ->
@@ -490,6 +486,14 @@ let qcheck_props =
     QCheck.Test.make ~name:"int_array round-trips" ~count:100
       QCheck.(array small_signed_int)
       (fun a -> roundtrip Codec.int_array Codec.read_int_array a = a);
+    (* A CRC-valid file can still carry a corrupt arena: decoding it must
+       either succeed or raise Codec.Error, the one exception a resuming
+       caller handles. *)
+    QCheck.Test.make ~name:"mutated dyngraph payload decodes or raises Codec.Error"
+      ~count:2000 arb_mutation (fun edits ->
+        match Dyngraph.decode (Codec.reader (mutate (Lazy.force mutation_target) edits)) with
+        | _ -> true
+        | exception Codec.Error _ -> true);
   ]
 
 let suite =
@@ -511,7 +515,6 @@ let suite =
     ("poisson churn round-trip", `Quick, test_poisson_churn_roundtrip);
     ("streaming model round-trip", `Quick, test_streaming_model_roundtrip);
     ("poisson model round-trip", `Quick, test_poisson_model_roundtrip);
-    ("models dispatch", `Quick, test_models_dispatch);
     ("flood sync in-flight round-trip", `Quick, test_flood_sync_inflight_roundtrip);
     ("flood poisson in-flight round-trip", `Quick, test_flood_poisson_inflight_roundtrip);
     ("flood state rejects inconsistency", `Quick, test_flood_state_rejects_inconsistency);

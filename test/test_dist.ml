@@ -88,42 +88,6 @@ let test_poisson_pmf_known_value () =
   (* P(X=0 | mean=2) = e^-2 *)
   close ~eps:1e-12 "pmf(2,0)" (exp (-2.)) (Dist.poisson_pmf 2.0 0)
 
-let test_geometric_mean () =
-  let rng = Prng.create 139 in
-  let p = 0.25 in
-  let acc = sample_stats (fun () -> float_of_int (Dist.geometric rng p)) 100_000 in
-  (* failures-before-success mean = (1-p)/p = 3 *)
-  check_bool "mean near 3" true (Float.abs (Stats.Acc.mean acc -. 3.0) < 0.05)
-
-let test_geometric_p_one () =
-  let rng = Prng.create 149 in
-  for _ = 1 to 100 do
-    Alcotest.(check int) "p=1 gives 0" 0 (Dist.geometric rng 1.0)
-  done
-
-let test_binomial_mean () =
-  let rng = Prng.create 151 in
-  let acc = sample_stats (fun () -> float_of_int (Dist.binomial rng 100 0.3)) 50_000 in
-  check_bool "mean near 30" true (Float.abs (Stats.Acc.mean acc -. 30.) < 0.2)
-
-let test_binomial_extremes () =
-  let rng = Prng.create 157 in
-  Alcotest.(check int) "p=0" 0 (Dist.binomial rng 50 0.);
-  Alcotest.(check int) "p=1" 50 (Dist.binomial rng 50 1.)
-
-let test_binomial_bounds () =
-  let rng = Prng.create 163 in
-  for _ = 1 to 5000 do
-    let v = Dist.binomial rng 20 0.5 in
-    check_bool "in [0,20]" true (v >= 0 && v <= 20)
-  done
-
-let test_binomial_small_np_path () =
-  let rng = Prng.create 167 in
-  (* n*p < 32 triggers the waiting-time method *)
-  let acc = sample_stats (fun () -> float_of_int (Dist.binomial rng 1000 0.01)) 50_000 in
-  check_bool "waiting-time mean near 10" true (Float.abs (Stats.Acc.mean acc -. 10.) < 0.15)
-
 let test_std_normal_moments () =
   let rng = Prng.create 173 in
   let acc = sample_stats (fun () -> Dist.std_normal rng) 100_000 in
@@ -161,12 +125,6 @@ let suite =
     ("poisson zero mean", `Quick, test_poisson_zero_mean);
     ("poisson pmf sums", `Quick, test_poisson_pmf_sums_to_one);
     ("poisson pmf known", `Quick, test_poisson_pmf_known_value);
-    ("geometric mean", `Quick, test_geometric_mean);
-    ("geometric p=1", `Quick, test_geometric_p_one);
-    ("binomial mean", `Quick, test_binomial_mean);
-    ("binomial extremes", `Quick, test_binomial_extremes);
-    ("binomial bounds", `Quick, test_binomial_bounds);
-    ("binomial small np", `Quick, test_binomial_small_np_path);
     ("std normal moments", `Quick, test_std_normal_moments);
     ("log factorial small", `Quick, test_log_factorial_small);
     ("log factorial junction", `Quick, test_log_factorial_stirling_consistency);

@@ -12,15 +12,14 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 let test_scale_roundtrip () =
-  (* Exhaustive over [Scale.all] so a new tier cannot dodge the test. *)
+  (* Exhaustive over [Scale.names] so a new tier cannot dodge the test. *)
   List.iter
-    (fun s ->
+    (fun name ->
       Alcotest.(check (option string))
-        "roundtrip"
-        (Some (Scale.to_string s))
-        (Option.map Scale.to_string (Scale.of_string (Scale.to_string s))))
-    Scale.all;
-  check_int "all tiers present" 4 (List.length Scale.all);
+        "roundtrip" (Some name)
+        (Option.map Scale.to_string (Scale.of_string name)))
+    Scale.names;
+  check_int "all tiers present" 4 (List.length Scale.names);
   Alcotest.(check (list string))
     "names in all order" [ "smoke"; "standard"; "full"; "xl" ] Scale.names;
   check_bool "case insensitive" true (Scale.of_string "XL" = Some Scale.XL);
@@ -80,50 +79,18 @@ let test_every_experiment_smoke () =
         true (Report.all_hold r))
     Registry.all
 
-let test_run_all_subset () =
-  let reports = Registry.run_all ~ids:[ "E12"; "T1" ] ~seed:7 ~scale:Scale.Smoke () in
-  check_int "two reports" 2 (List.length reports);
-  let summary = Registry.summary reports in
-  check_bool "summary renders" true (String.length (Churnet_util.Table.render summary) > 0)
-
-let contains needle hay =
-  let nl = String.length needle in
-  let found = ref false in
-  for i = 0 to String.length hay - nl do
-    if String.sub hay i nl = needle then found := true
-  done;
-  !found
-
-(* Regression: a misspelled id used to be dropped silently, so the caller
-   simply got fewer reports.  Now every unknown id must be named. *)
-let test_run_all_unknown_ids_raise () =
-  let expect_invalid ids expected_fragments =
-    match Registry.run_all ~ids ~seed:7 ~scale:Scale.Smoke () with
-    | _ -> Alcotest.fail "unknown id accepted silently"
-    | exception Invalid_argument msg ->
-        List.iter
-          (fun frag ->
-            check_bool (Printf.sprintf "error mentions %s" frag) true (contains frag msg))
-          expected_fragments
-  in
-  (* unknown alone, and mixed with perfectly valid ids *)
-  expect_invalid [ "Z9" ] [ "Z9"; "E1" ];
-  expect_invalid [ "E12"; "NOPE"; "T1"; "ALSO_BAD" ] [ "NOPE"; "ALSO_BAD" ];
-  (* run_timed validates identically *)
-  (match Registry.run_timed ~ids:[ "Z9" ] ~seed:7 ~scale:Scale.Smoke () with
-  | _ -> Alcotest.fail "run_timed accepted unknown id"
-  | exception Invalid_argument _ -> ());
-  (* and valid ids still work, case-insensitively *)
-  check_int "valid subset unaffected" 1
-    (List.length (Registry.run_all ~ids:[ "t1" ] ~seed:7 ~scale:Scale.Smoke ()))
+(* One cell under Telemetry.measure, as the CLI's run/all loops do. *)
+let timed_run id =
+  Telemetry.measure ~seed:2024 ~scale:Scale.Smoke (fun () ->
+      Registry.run_cell ~id ~seed:2024 ~scale:Scale.Smoke)
 
 (* The --json schema: run one real experiment, serialize through the
    CLI's envelope, parse it back with our own parser, and verify every
    check carries holds plus the nullable typed payloads. *)
 let test_json_schema_smoke () =
-  let timed = Registry.run_timed ~ids:[ "E1" ] ~seed:2024 ~scale:Scale.Smoke () in
+  let timed = [ timed_run "E1" ] in
   let doc = Registry.reports_to_json ~seed:2024 ~scale:Scale.Smoke ~domains:1 timed in
-  let parsed = Json.of_string_exn (Json.to_string ~pretty:true doc) in
+  let parsed = Result.get_ok (Json.of_string (Json.to_string ~pretty:true doc)) in
   check_bool "schema tag" true
     (Option.bind (Json.member "schema" parsed) Json.as_string
     = Some "churnet-report/1");
@@ -134,7 +101,7 @@ let test_json_schema_smoke () =
   check_bool "id" true
     (Option.bind (Json.member "id" report) Json.as_string = Some "E1");
   check_bool "all_hold present" true
-    (Option.bind (Json.member "all_hold" report) Json.as_bool <> None);
+    (match Json.member "all_hold" report with Some (Json.Bool _) -> true | _ -> false);
   let checks = Json.as_list (Option.get (Json.member "checks" report)) in
   let (r, _) = List.hd timed in
   check_int "every check serialized" (List.length r.Report.checks) (List.length checks);
@@ -142,7 +109,7 @@ let test_json_schema_smoke () =
   List.iter
     (fun c ->
       check_bool "check has holds" true
-        (Option.bind (Json.member "holds" c) Json.as_bool <> None);
+        (match Json.member "holds" c with Some (Json.Bool _) -> true | _ -> false);
       check_bool "check has claim" true
         (Option.bind (Json.member "claim" c) Json.as_string <> None);
       (* typed payloads are present as keys (value may be null) *)
@@ -224,11 +191,11 @@ let test_measure_counts_joined_workers () =
     (parallel >= 0.9 *. serial)
 
 (* Text rendering must be byte-identical whether or not JSON is emitted:
-   same seed, one run through run_all, one through run_timed (+ to_json),
-   identical bytes. *)
+   same seed, one plain run, one measured run (+ to_json), identical
+   bytes. *)
 let test_render_unchanged_by_json_emission () =
-  let plain = Registry.run_all ~ids:[ "T1" ] ~seed:2024 ~scale:Scale.Smoke () in
-  let timed = Registry.run_timed ~ids:[ "T1" ] ~seed:2024 ~scale:Scale.Smoke () in
+  let plain = [ Registry.run_cell ~id:"T1" ~seed:2024 ~scale:Scale.Smoke ] in
+  let timed = [ timed_run "T1" ] in
   (* emit JSON from the timed run before rendering, to prove emission
      does not disturb the text *)
   let _json =
@@ -247,8 +214,6 @@ let suite =
     ("registry ids unique", `Quick, test_registry_ids_unique);
     ("report rendering", `Quick, test_report_rendering);
     ("every experiment at smoke scale", `Slow, test_every_experiment_smoke);
-    ("run_all subset", `Quick, test_run_all_subset);
-    ("run_all unknown ids raise", `Quick, test_run_all_unknown_ids_raise);
     ("json schema smoke", `Quick, test_json_schema_smoke);
     ("cell peak rss attribution", `Quick, test_cell_peak_rss_attribution);
     ("measure counts joined workers", `Quick, test_measure_counts_joined_workers);

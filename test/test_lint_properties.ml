@@ -21,9 +21,13 @@ let check_bool = Alcotest.(check bool)
 let span_ok n (s : Lint_tree.span) =
   s.Lint_tree.s_first >= 0 && s.Lint_tree.s_last < n
 
+let span_within (inner : Lint_tree.span) (outer : Lint_tree.span) =
+  inner.Lint_tree.s_first >= outer.Lint_tree.s_first
+  && inner.Lint_tree.s_last <= outer.Lint_tree.s_last
+
 let spans_nest (a : Lint_tree.span) (b : Lint_tree.span) =
-  Lint_tree.span_within a b
-  || Lint_tree.span_within b a
+  span_within a b
+  || span_within b a
   || a.Lint_tree.s_last < b.Lint_tree.s_first
   || b.Lint_tree.s_last < a.Lint_tree.s_first
 
@@ -54,7 +58,7 @@ let check_invariants ~what (lex : Lint_lexer.t) (tree : Lint_tree.t) =
       let body = b.Lint_tree.b_body in
       if
         body.Lint_tree.s_first <= body.Lint_tree.s_last
-        && not (Lint_tree.span_within body sp)
+        && not (span_within body sp)
       then
         fail "binding %s: body %d..%d escapes span %d..%d" b.Lint_tree.b_name
           body.Lint_tree.s_first body.Lint_tree.s_last sp.Lint_tree.s_first
@@ -124,30 +128,28 @@ let prop_helpers_consistent =
       let tree = Lint_tree.parse lex in
       let n = Array.length lex.Lint_lexer.tokens in
       for i = 0 to n - 1 do
-        (* enclosing_binding must return a span containing i, and be the
-           innermost such binding *)
-        (match Lint_tree.enclosing_binding tree i with
+        (* enclosing_toplevel must return a top-level binding whose span
+           contains i, and find one whenever one exists *)
+        (match Lint_tree.enclosing_toplevel tree i with
         | Some b ->
-            if not (Lint_tree.span_contains b.Lint_tree.b_span i) then
-              failwith "enclosing_binding returned a non-containing span"
+            if not (b.Lint_tree.b_toplevel && Lint_tree.span_contains b.Lint_tree.b_span i)
+            then failwith "enclosing_toplevel returned a non-containing binding"
         | None ->
             if
               Array.exists
                 (fun (b : Lint_tree.binding) ->
-                  Lint_tree.span_contains b.Lint_tree.b_span i)
+                  b.Lint_tree.b_toplevel && Lint_tree.span_contains b.Lint_tree.b_span i)
                 tree.Lint_tree.bindings
-            then failwith "enclosing_binding missed a containing binding");
-        (* in_lambda / in_loop must agree with the recorded spans *)
-        let some_lambda =
-          Array.exists (fun s -> Lint_tree.span_contains s i) tree.Lint_tree.lambdas
+            then failwith "enclosing_toplevel missed a containing binding");
+        (* in_nested_lambda_or_loop must agree with the recorded spans *)
+        let containing =
+          Array.fold_left
+            (fun k s -> if Lint_tree.span_contains s i then k + 1 else k)
+            0
+            (Array.append tree.Lint_tree.lambdas tree.Lint_tree.loops)
         in
-        if Lint_tree.in_lambda tree i <> some_lambda then
-          failwith "in_lambda disagrees with lambda spans";
-        let some_loop =
-          Array.exists (fun s -> Lint_tree.span_contains s i) tree.Lint_tree.loops
-        in
-        if Lint_tree.in_loop tree i <> some_loop then
-          failwith "in_loop disagrees with loop spans"
+        if Lint_tree.in_nested_lambda_or_loop tree i <> (containing >= 2) then
+          failwith "in_nested_lambda_or_loop disagrees with lambda and loop spans"
       done;
       true)
 

@@ -222,7 +222,7 @@ let test_wrapper_dispatch () =
       let m = Models.create ~rng:(Prng.create 53) k ~n:60 ~d:3 in
       check_bool "kind preserved" true (Models.kind m = k);
       check_int "n" 60 (Models.n m);
-      check_int "d" 3 (Models.d m);
+      check_int "d" 3 (Dyngraph.d (Models.graph m));
       Models.warm_up_batch m;
       let pop = Dyngraph.alive_count (Models.graph m) in
       check_bool "population reasonable" true (pop > 30 && pop < 90);

@@ -11,7 +11,7 @@ module Models = Churnet_core.Models
 module Scale = Churnet_experiments.Scale
 module Json = Churnet_util.Json
 
-let parse text = Sweep.config_of_json (Json.of_string_exn text)
+let parse text = Sweep.config_of_json (Result.get_ok (Json.of_string text))
 
 let ok text =
   match parse text with

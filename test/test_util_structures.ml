@@ -1,4 +1,4 @@
-(* Tests for Kl, Heap, Union_find, Bitset, Table, Asciiplot. *)
+(* Tests for Kl, Heap, Bitset, Table, Asciiplot. *)
 open Churnet_util
 
 let check_bool = Alcotest.(check bool)
@@ -6,11 +6,6 @@ let check_int = Alcotest.(check int)
 let close ?(eps = 1e-9) msg a b = check_bool msg true (Float.abs (a -. b) < eps)
 
 (* --- Kl --- *)
-
-let test_entropy_uniform () =
-  close "H(uniform 4) = ln 4" (log 4.) (Kl.entropy [| 0.25; 0.25; 0.25; 0.25 |])
-
-let test_entropy_point_mass () = close "H(delta) = 0" 0. (Kl.entropy [| 1.; 0.; 0. |])
 
 let test_kl_self_zero () =
   let p = [| 0.2; 0.3; 0.5 |] in
@@ -215,29 +210,6 @@ let heap_qcheck =
         !ok && Heap.length h = List.length !model);
   ]
 
-(* --- Union_find --- *)
-
-let test_uf_basic () =
-  let uf = Union_find.create 5 in
-  check_int "initial count" 5 (Union_find.count uf);
-  check_bool "union new" true (Union_find.union uf 0 1);
-  check_bool "union repeat" false (Union_find.union uf 0 1);
-  check_bool "same" true (Union_find.same uf 0 1);
-  check_bool "not same" false (Union_find.same uf 0 2);
-  check_int "count after union" 4 (Union_find.count uf)
-
-let test_uf_transitivity () =
-  let uf = Union_find.create 6 in
-  ignore (Union_find.union uf 0 1);
-  ignore (Union_find.union uf 1 2);
-  check_bool "transitive" true (Union_find.same uf 0 2)
-
-let test_uf_component_sizes () =
-  let uf = Union_find.create 5 in
-  ignore (Union_find.union uf 0 1);
-  ignore (Union_find.union uf 2 3);
-  let sizes = List.sort Int.compare (Union_find.component_sizes uf) in
-  Alcotest.(check (list int)) "sizes" [ 1; 2; 2 ] sizes
 
 (* --- Bitset --- *)
 
@@ -394,37 +366,8 @@ let test_plot_log_drops_nonpositive () =
   let s = Asciiplot.plot ~logx:true ~title:"t" ~xlabel:"x" ~ylabel:"y" series in
   check_bool "renders" true (String.length s > 0)
 
-let test_bar () =
-  let s = Asciiplot.bar ~title:"b" [ ("one", 1.); ("two", 2.) ] in
-  check_bool "renders bars" true (String.contains s '#')
-
-let test_bar_mixed_signs () =
-  (* Regression: a negative entry (e.g. a negative assortativity) used to
-     make String.make crash with a negative length. *)
-  let s =
-    Asciiplot.bar ~title:"b"
-      [ ("pos", 0.5); ("neg", -1.0); ("zero", 0.); ("nan", nan) ]
-  in
-  check_bool "renders" true (String.length s > 0);
-  check_bool "positive bar uses #" true (String.contains s '#');
-  (* the negative bar is drawn distinctly and at full scale (|−1| is the max) *)
-  check_bool "negative bar uses -" true
-    (let found = ref false in
-     String.iteri
-       (fun i c ->
-         if c = '-' && i + 1 < String.length s && s.[i + 1] = '-' then found := true)
-       s;
-     !found)
-
-let test_bar_all_negative () =
-  let s = Asciiplot.bar ~title:"b" [ ("a", -2.); ("b", -4.) ] in
-  check_bool "renders without crash" true (String.length s > 0);
-  check_bool "no # bars" true (not (String.contains s '#'))
-
 let suite =
   [
-    ("entropy uniform", `Quick, test_entropy_uniform);
-    ("entropy point mass", `Quick, test_entropy_point_mass);
     ("KL self zero", `Quick, test_kl_self_zero);
     ("KL known value", `Quick, test_kl_known_value);
     ("KL infinite unsupported", `Quick, test_kl_infinite_when_unsupported);
@@ -438,9 +381,6 @@ let suite =
     ("heap clear", `Quick, test_heap_clear);
     ("heap growth", `Quick, test_heap_growth);
     ("heap FIFO across growth boundary", `Quick, test_heap_fifo_interleaved_growth);
-    ("union-find basic", `Quick, test_uf_basic);
-    ("union-find transitivity", `Quick, test_uf_transitivity);
-    ("union-find sizes", `Quick, test_uf_component_sizes);
     ("bitset basic", `Quick, test_bitset_basic);
     ("bitset iter", `Quick, test_bitset_iter);
     ("bitset clear", `Quick, test_bitset_clear);
@@ -452,9 +392,6 @@ let suite =
     ("plot renders", `Quick, test_plot_renders);
     ("plot empty", `Quick, test_plot_empty);
     ("plot log scale", `Quick, test_plot_log_drops_nonpositive);
-    ("bar", `Quick, test_bar);
-    ("bar mixed signs", `Quick, test_bar_mixed_signs);
-    ("bar all negative", `Quick, test_bar_all_negative);
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~verbose:false)
       (kl_qcheck @ heap_qcheck @ bitset_qcheck)
