@@ -16,18 +16,6 @@ type trace = {
   extinction_round : int option;
 }
 
-let coverage_at tr k =
-  let len = Array.length tr.informed_per_round in
-  if len = 0 then nan
-  else begin
-    let i = min k (len - 1) in
-    let pop = tr.population_per_round.(i) in
-    (* Post-extinction rounds can have an empty population; coverage is
-       then undefined — a deliberate nan, not an accidental inf. *)
-    if pop <= 0 then nan
-    else float_of_int tr.informed_per_round.(i) /. float_of_int pop
-  end
-
 (* Shared trace assembly from per-round logs. *)
 let finish ~completed ~completion_round ~extinct ~extinction_round informed_log
     population_log =

@@ -29,14 +29,6 @@ type trace = {
   extinction_round : int option;
 }
 
-(* lint: allow dead-export — test seam: test_flood pins it; no experiment reads
-   it (ROADMAP) *)
-val coverage_at : trace -> int -> float
-(** [coverage_at tr k] = |I_{t0+k}| / |N_{t0+k}|, or the final coverage if
-    the flood ended earlier.  [nan] when that round's population is empty
-    (post-extinction rounds): coverage of nobody is undefined, and an
-    accidental [inf] must never escape into reports. *)
-
 val expand_informed :
   Churnet_graph.Dyngraph.t -> Churnet_util.Bitset.t -> Churnet_util.Intvec.t -> unit
 (** One synchronous flooding hop by full rescan: add to [informed] (a

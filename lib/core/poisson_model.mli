@@ -103,5 +103,6 @@ val encode : Churnet_util.Codec.writer -> t -> unit
 (** Serialize the model for checkpoints, including the lazily pre-drawn
     pending jump (already taken from the churn PRNG, hence state). *)
 
-(* lint: allow dead-export — test seam: test_codec round-trips a mid-run model *)
+(* lint: allow dead-export — test seam: test_flood's
+   test_frontier_discretized_resumes restores a model mid-flood *)
 val decode : Churnet_util.Codec.reader -> t

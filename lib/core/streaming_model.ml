@@ -52,24 +52,3 @@ let newest t =
 
 let age_of t id = t.round - Dyngraph.birth_of t.graph id
 let snapshot t = Dyngraph.snapshot t.graph
-
-module Codec = Churnet_util.Codec
-
-let encode w t =
-  Codec.varint w t.n;
-  Codec.varint w t.d;
-  Dyngraph.encode w t.graph;
-  Codec.varint w t.round;
-  Codec.int_array w t.birth_ids;
-  Codec.varint w t.newest
-
-let decode r =
-  let n = Codec.read_varint r in
-  let d = Codec.read_varint r in
-  let graph = Dyngraph.decode r in
-  let round = Codec.read_varint r in
-  let birth_ids = Codec.read_int_array r in
-  let newest = Codec.read_varint r in
-  if n < 2 || d < 1 || round < 0 || Array.length birth_ids <> n then
-    raise (Codec.Error "Streaming_model.decode: inconsistent fields");
-  { n; d; graph; round; birth_ids; newest }

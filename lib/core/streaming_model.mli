@@ -61,10 +61,3 @@ val age_of : t -> Churnet_graph.Dyngraph.node_id -> int
     that the newborn of the current round has age 0). *)
 
 val snapshot : t -> Churnet_graph.Snapshot.t
-
-(* lint: allow dead-export — test seam: test_codec round-trips a mid-run model *)
-val encode : Churnet_util.Codec.writer -> t -> unit
-(** Serialize the model (graph arena included) for checkpoints. *)
-
-(* lint: allow dead-export — test seam: test_codec round-trips a mid-run model *)
-val decode : Churnet_util.Codec.reader -> t

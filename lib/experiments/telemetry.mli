@@ -46,8 +46,8 @@ val now : unit -> float
 val peak_rss_kb : unit -> int option
 (** The process's peak resident set so far (VmHWM from
     [/proc/self/status], in kB); monotone over the process lifetime.
-    [None] where procfs is unavailable.  The kernels bench reports it
-    next to its timings for the XL memory envelope. *)
+    [None] where procfs is unavailable.  The benchmark harness
+    ([perfbench/]) reports it as the run's peak memory. *)
 
 val measure :
   seed:int -> scale:Scale.t -> ?domains:int -> (unit -> 'a) -> 'a * t

@@ -139,6 +139,8 @@ val in_neighbors_into : t -> node_id -> Churnet_util.Intvec.t -> unit
 (** [in_neighbors_into t id v] appends {!in_neighbors}[ t id] (distinct,
     ascending) to [v] without building a list. *)
 
+(* lint: allow dead-export — test seam: test_differential's reference for
+   iter_neighbors and random_neighbor *)
 val neighbors : t -> node_id -> node_id list
 (** Distinct neighbors = out targets U in-neighbors, sorted ascending. *)
 

@@ -209,11 +209,6 @@ let expansion ?scratch t set =
   if s = 0 then nan
   else float_of_int (boundary_size ?scratch t set) /. float_of_int s
 
-let set_of_indices t indices =
-  let set = Bitset.create (n t) in
-  Array.iter (fun i -> Bitset.add set i) indices;
-  set
-
 let degree_histogram t =
   let h = Array.make (max_degree t + 1) 0 in
   for i = 0 to n t - 1 do

@@ -104,9 +104,6 @@ val expansion : ?scratch:Churnet_util.Bitset.t -> t -> Churnet_util.Bitset.t -> 
 (** [|∂out(S)| / |S|]; [nan] on the empty set.  [scratch] as in
     {!boundary_size}. *)
 
-val set_of_indices : t -> int array -> Churnet_util.Bitset.t
-(** Bitset over snapshot indices. *)
-
 val degree_histogram : t -> int array
 (** [h.(k)] = number of vertices with degree [k]. *)
 

@@ -25,6 +25,7 @@ val create : rng:Churnet_util.Prng.t -> ?max_in:int -> n:int -> unit -> t
 (* lint: allow dead-export — test seam: test_p2p and test_alloc read the
    overlay's graph *)
 val graph : t -> Churnet_graph.Dyngraph.t
+(* lint: allow dead-export — test seam: test_alloc's Bitcoin-like jump budget *)
 val step : t -> unit
 (** One churn jump followed by one maintenance pass over deficient nodes. *)
 

@@ -105,26 +105,6 @@ let iter f t =
     incr b
   done
 
-let iter_words f t =
-  let words = t.words in
-  let nbytes = Bytes.length words in
-  let full = nbytes land lnot 7 in
-  let b = ref 0 in
-  while !b < full do
-    f (!b lsl 3) (Bytes.get_int64_le words !b);
-    b := !b + 8
-  done;
-  if !b < nbytes then begin
-    (* Tail word (capacity not a multiple of 64): assemble the remaining
-       bytes little-endian and zero-pad the rest. *)
-    let w = ref 0L in
-    for i = nbytes - 1 downto !b do
-      w := Int64.logor (Int64.shift_left !w 8)
-             (Int64.of_int (Char.code (Bytes.unsafe_get words i)))
-    done;
-    f (!b lsl 3) !w
-  end
-
 (* Checkpoint support: capacity, cardinal and the raw words.  The words
    array length is pinned to (capacity + 7) / 8 by construction, so the
    decoder validates it and a decode/encode cycle is byte-identical. *)

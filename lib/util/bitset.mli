@@ -33,15 +33,6 @@ val iter : (int -> unit) -> t -> unit
     store is snapshotted before its bits are visited); any other
     concurrent mutation is unspecified. *)
 
-(* lint: allow dead-export — test seam: test_util_structures pins it; no kernel
-   reads words (ROADMAP) *)
-val iter_words : (int -> int64 -> unit) -> t -> unit
-(** [iter_words f t] calls [f offset word] for each 64-bit little-endian
-    word of the store, [offset] being the index of the word's lowest bit
-    (a multiple of 64).  The final word is zero-padded when the store is
-    not a multiple of 8 bytes.  Bit [i] of [word] set means
-    [mem t (offset + i)]. *)
-
 val encode : Codec.writer -> t -> unit
 (** Serialize capacity, cardinal and the raw bit words for checkpoints. *)
 

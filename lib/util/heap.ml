@@ -98,8 +98,3 @@ let pop h =
 let peek h =
   if h.size = 0 then None
   else match h.vals.(0) with Some x -> Some (h.keys.(0), x) | None -> assert false
-
-let clear h =
-  Array.fill h.vals 0 h.size None;
-  h.size <- 0;
-  h.next_seq <- 0

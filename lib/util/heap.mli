@@ -28,7 +28,3 @@ val pop : 'a t -> (float * 'a) option
 
 val peek : 'a t -> (float * 'a) option
 (** Return the minimum-priority element without removing it. *)
-
-(* lint: allow dead-export — test seam: test_util_structures pins it; no
-   program caller (ROADMAP) *)
-val clear : 'a t -> unit

@@ -69,26 +69,12 @@ let int t bound =
   done;
   !v
 
-let int_in t lo hi =
-  if hi < lo then invalid_arg "Prng.int_in: empty range";
-  lo + int t (hi - lo + 1)
-
 let[@inline] unit_float t =
   (* 53 random bits scaled to [0,1). *)
   let r = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   r *. 0x1.0p-53
 
-let float t bound = unit_float t *. bound
-let bool t = Int64.logand (bits64 t) 1L = 1L
 let bernoulli t p = unit_float t < p
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
 
 let sample_without_replacement t k n =
   if k > n then invalid_arg "Prng.sample_without_replacement: k > n";
@@ -96,7 +82,7 @@ let sample_without_replacement t k n =
     (* Dense case: partial Fisher-Yates on the full range. *)
     let a = Array.init n (fun i -> i) in
     for i = 0 to k - 1 do
-      let j = int_in t i (n - 1) in
+      let j = i + int t (n - i) in
       let tmp = a.(i) in
       a.(i) <- a.(j);
       a.(j) <- tmp

@@ -8,8 +8,8 @@
 
     The state is the four 64-bit xoshiro words, stored unboxed in one
     32-byte buffer, so stepping the generator allocates nothing: draws
-    that return an [int] or a [bool] ({!int}, {!int_in}, {!bool},
-    {!bernoulli}) allocate no words in any build.  In release builds,
+    that return an [int] or a [bool] ({!int}, {!bernoulli}) allocate no
+    words in any build.  In release builds,
     where [bits64] and {!unit_float} inline across modules, the float
     draws allocate nothing either; a call that is not inlined into its
     caller still boxes the [float] or [int64] it returns. *)
@@ -39,31 +39,11 @@ val bits64 : t -> int64
 val int : t -> int -> int
 (** [int t bound] is uniform on [0, bound-1].  [bound] must be positive. *)
 
-(* lint: allow dead-export — test seam: test_prng pins it; no simulation draws
-   from it (ROADMAP) *)
-val int_in : t -> int -> int -> int
-(** [int_in t lo hi] is uniform on the inclusive range [lo, hi]. *)
-
-(* lint: allow dead-export — test seam: test_api_surface pins it; no simulation
-   draws from it (ROADMAP) *)
-val float : t -> float -> float
-(** [float t bound] is uniform on [0, bound). *)
-
 val unit_float : t -> float
 (** Uniform on [0,1) with 53 bits of precision. *)
 
-(* lint: allow dead-export — test seam: test_prng pins it; no simulation draws
-   from it (ROADMAP) *)
-val bool : t -> bool
-(** Fair coin. *)
-
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
-
-(* lint: allow dead-export — test seam: test_prng pins it; no simulation draws
-   from it (ROADMAP) *)
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)
 
 val sample_without_replacement : t -> int -> int -> int array
 (** [sample_without_replacement t k n] draws [k] distinct values uniformly

@@ -1,5 +1,5 @@
 (** Descriptive statistics for experiment reporting: streaming moments,
-    quantiles, histograms, confidence intervals and least-squares fits
+    quantiles, confidence intervals and least-squares fits
     (including the [a * log n + b] fits used to check the O(log n)
     flooding-time theorems). *)
 
@@ -15,8 +15,8 @@ module Acc : sig
   val mean : t -> float
   (** Mean; [nan] when empty. *)
 
-  (* lint: allow dead-export — test seam: test_dist and test_stats measure
-     sample variances with it *)
+  (* lint: allow dead-export — test seam: test_stats measures sample
+     variances with it *)
   val variance : t -> float
   (** Unbiased sample variance; [nan] when count < 2. *)
 end
@@ -28,47 +28,6 @@ val median : float array -> float
 val quantile : float array -> float -> float
 (** [quantile xs q] with linear interpolation; [q] in [0,1].  Does not
     mutate its argument. *)
-
-(* lint: allow dead-export — test seam: test_stats pins it; no program caller
-   (ROADMAP) *)
-val fraction_where : ('a -> bool) -> 'a array -> float
-(** Fraction of elements satisfying the predicate; [nan] when empty. *)
-
-(** {1 Histograms} *)
-
-module Histogram : sig
-  type t
-
-  val create : lo:float -> hi:float -> bins:int -> t
-
-  val add : t -> float -> unit
-  (** File [x] into its bin (clamping below [lo] into bin 0 and above
-      [hi] into the last bin).  NaN samples are not binned — they only
-      bump {!nan_count} — because a NaN would otherwise land in bin 0 by
-      floating-comparison accident and distort the distribution. *)
-
-  (* lint: allow dead-export — test seam: test_stats pins the histogram; no
-     experiment bins (ROADMAP) *)
-  val counts : t -> int array
-
-  (* lint: allow dead-export — test seam: test_stats pins the histogram; no
-     experiment bins (ROADMAP) *)
-  val total : t -> int
-  (** Samples binned so far; excludes NaN samples. *)
-
-  (* lint: allow dead-export — test seam: test_stats pins the histogram; no
-     experiment bins (ROADMAP) *)
-  val nan_count : t -> int
-  (** NaN samples rejected by {!add}. *)
-
-  (* lint: allow dead-export — test seam: test_stats pins the histogram; no
-     experiment bins (ROADMAP) *)
-  val bin_mid : t -> int -> float
-  (* lint: allow dead-export — test seam: test_stats pins the histogram; no
-     experiment bins (ROADMAP) *)
-  val normalized : t -> float array
-  (** Per-bin probability mass (counts / total). *)
-end
 
 (** {1 Fits} *)
 

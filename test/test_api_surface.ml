@@ -137,13 +137,6 @@ let test_json_to_channel () =
       Alcotest.(check string)
         "channel output matches to_string" (Json.to_string doc ^ "\n") got)
 
-let test_prng_float () =
-  let rng = Prng.create 50 in
-  for _ = 1 to 100 do
-    let x = Prng.float rng 10. in
-    check_bool "float in [0, bound)" true (x >= 0. && x < 10.)
-  done
-
 let test_report_check_to_json () =
   let c =
     Report.check ~claim:"coverage is total" ~expected:"1.0" ~measured:"1.0"
@@ -171,6 +164,5 @@ let suite =
     Alcotest.test_case "codec reader introspection" `Quick
       test_codec_reader_introspection;
     Alcotest.test_case "json to_channel" `Quick test_json_to_channel;
-    Alcotest.test_case "prng float" `Quick test_prng_float;
     Alcotest.test_case "report check_to_json" `Quick test_report_check_to_json;
   ]

@@ -2,7 +2,7 @@
    integrity (schema, length, CRC), and a state round-trip for every
    serialized module — PRNG, Intvec, Bitset, the graph arena (including
    a populated free list and a slid id window), the Poisson churn clock,
-   both models, and the in-flight Flood and Onion states.
+   the Poisson model, and the in-flight Flood and Onion states.
 
    The strongest check used throughout is re-encode byte equality:
    [decode] then [encode] must reproduce the exact bytes, so nothing is
@@ -256,20 +256,6 @@ let test_poisson_churn_roundtrip () =
     check_bool (Printf.sprintf "decision %d" i) true (d1 = d2 && dt1 = dt2)
   done
 
-let test_streaming_model_roundtrip () =
-  let m = Streaming_model.create ~rng:(Prng.create 31) ~n:120 ~d:6 ~regenerate:true () in
-  Streaming_model.warm_up m;
-  Streaming_model.run m 37;
-  let bytes = encode_bytes Streaming_model.encode m in
-  let m' = Streaming_model.decode (Codec.reader bytes) in
-  check_string "re-encode byte-identical" (String.escaped bytes)
-    (String.escaped (encode_bytes Streaming_model.encode m'));
-  Streaming_model.run m 100;
-  Streaming_model.run m' 100;
-  check_string "identical after 100 more rounds"
-    (String.escaped (encode_bytes Streaming_model.encode m))
-    (String.escaped (encode_bytes Streaming_model.encode m'))
-
 let test_poisson_model_roundtrip () =
   let m = Poisson_model.create ~rng:(Prng.create 32) ~n:120 ~d:6 ~regenerate:true () in
   Poisson_model.warm_up m;
@@ -513,7 +499,6 @@ let suite =
     ("dyngraph round-trip with slid window", `Quick, test_dyngraph_roundtrip_slid_window);
     ("dyngraph rejects corruption", `Quick, test_dyngraph_decode_rejects_corruption);
     ("poisson churn round-trip", `Quick, test_poisson_churn_roundtrip);
-    ("streaming model round-trip", `Quick, test_streaming_model_roundtrip);
     ("poisson model round-trip", `Quick, test_poisson_model_roundtrip);
     ("flood sync in-flight round-trip", `Quick, test_flood_sync_inflight_roundtrip);
     ("flood poisson in-flight round-trip", `Quick, test_flood_poisson_inflight_roundtrip);

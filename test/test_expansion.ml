@@ -50,7 +50,8 @@ let test_exact_witness () =
   let s = Snapshot.of_edges ~n:6 [ (0, 1); (1, 2); (3, 4); (4, 5) ] in
   let h, witness = Exact.h_out_with_witness s in
   close "witness ratio" h
-    (let set = Snapshot.set_of_indices s (Array.of_list witness) in
+    (let set = Churnet_util.Bitset.create (Snapshot.n s) in
+     List.iter (Churnet_util.Bitset.add set) witness;
      Snapshot.expansion s set);
   check_bool "witness size <= n/2" true (List.length witness <= 3)
 

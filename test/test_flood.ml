@@ -147,14 +147,6 @@ let test_async_extinction_possible_pdg_small_d () =
   done;
   check_bool "some extinctions" true (!extinct >= 1)
 
-let test_coverage_at () =
-  let m = sdgr ~seed:37 () in
-  let tr = Flood.run_streaming m in
-  let c0 = Flood.coverage_at tr 0 in
-  check_bool "initial coverage tiny" true (c0 < 0.01);
-  let cend = Flood.coverage_at tr 10_000 in
-  check_bool "clamps to final" true (cend > 0.9)
-
 let test_run_custom_static_semantics () =
   (* On a custom stepper that never churns after planting the source,
      flooding is exactly BFS layer expansion. *)
@@ -198,7 +190,6 @@ let suite =
     ("async completes on PDGR", `Quick, test_async_completes_on_pdgr);
     ("async vs discretized", `Slow, test_async_faster_or_equal_discretized);
     ("async extinction possible", `Slow, test_async_extinction_possible_pdg_small_d);
-    ("coverage_at", `Quick, test_coverage_at);
     ("run_custom = BFS on static path", `Quick, test_run_custom_static_semantics);
   ]
 
@@ -307,8 +298,6 @@ let test_coverage_nan_on_empty_population () =
   in
   check_int "population emptied" 0 tr.final_population;
   check_int "no informed survivors" 0 tr.final_informed;
-  check_bool "coverage of the empty round is nan" true
-    (Float.is_nan (Flood.coverage_at tr tr.rounds));
   check_bool "peak coverage finite despite empty rounds" true
     (Float.is_finite tr.peak_coverage);
   check_bool "peak coverage in [0,1]" true (tr.peak_coverage >= 0. && tr.peak_coverage <= 1.)

@@ -234,6 +234,12 @@ let path_graph n = Snapshot.of_edges ~n (List.init (n - 1) (fun i -> (i, i + 1))
 let cycle_graph n =
   Snapshot.of_edges ~n ((n - 1, 0) :: List.init (n - 1) (fun i -> (i, i + 1)))
 
+(* The vertex set holding the given snapshot indices. *)
+let index_set s indices =
+  let set = Bitset.create (Snapshot.n s) in
+  Array.iter (Bitset.add set) indices;
+  set
+
 let test_snapshot_of_edges () =
   let s = path_graph 4 in
   check_int "n" 4 (Snapshot.n s);
@@ -263,20 +269,20 @@ let test_snapshot_isolated () =
 
 let test_boundary_identities () =
   let s = cycle_graph 8 in
-  let set = Snapshot.set_of_indices s [| 0; 1; 2 |] in
+  let set = index_set s [| 0; 1; 2 |] in
   let b = Snapshot.boundary s set in
   Array.sort Int.compare b;
   Alcotest.(check (array int)) "cycle arc boundary" [| 3; 7 |] b;
   Alcotest.(check int) "boundary size" 2 (Snapshot.boundary_size s set);
   (* boundary of everything is empty *)
-  let all = Snapshot.set_of_indices s (Array.init 8 Fun.id) in
+  let all = index_set s (Array.init 8 Fun.id) in
   Alcotest.(check int) "full set boundary" 0 (Snapshot.boundary_size s all)
 
 let test_expansion_values () =
   let s = cycle_graph 10 in
-  let arc = Snapshot.set_of_indices s [| 0; 1; 2; 3; 4 |] in
+  let arc = index_set s [| 0; 1; 2; 3; 4 |] in
   Alcotest.(check (float 1e-9)) "arc expansion 2/5" 0.4 (Snapshot.expansion s arc);
-  let single = Snapshot.set_of_indices s [| 0 |] in
+  let single = index_set s [| 0 |] in
   Alcotest.(check (float 1e-9)) "singleton expansion = degree" 2.0
     (Snapshot.expansion s single)
 
@@ -482,7 +488,7 @@ let qcheck_props =
         let rng = Prng.create seed in
         let size = 1 + Prng.int rng (Snapshot.n s / 2) in
         let idx = Prng.sample_without_replacement rng size (Snapshot.n s) in
-        let set = Snapshot.set_of_indices s idx in
+        let set = index_set s idx in
         let b = Snapshot.boundary s set in
         Array.for_all (fun v -> not (Bitset.mem set v)) b);
   ]

@@ -52,13 +52,6 @@ let test_int_invalid () =
   Alcotest.check_raises "zero bound" (Invalid_argument "Prng.int: bound must be positive")
     (fun () -> ignore (Prng.int rng 0))
 
-let test_int_in_range () =
-  let rng = Prng.create 5 in
-  for _ = 1 to 1000 do
-    let v = Prng.int_in rng (-3) 9 in
-    check_bool "in inclusive range" true (v >= -3 && v <= 9)
-  done
-
 let test_unit_float_range () =
   let rng = Prng.create 11 in
   for _ = 1 to 10_000 do
@@ -87,16 +80,6 @@ let test_int_uniformity_chi_square () =
   (* 9 degrees of freedom: p=0.001 critical value is 27.9. *)
   check_bool "chi-square sane" true (chi < 27.9)
 
-let test_bool_balance () =
-  let rng = Prng.create 19 in
-  let heads = ref 0 in
-  let trials = 50_000 in
-  for _ = 1 to trials do
-    if Prng.bool rng then incr heads
-  done;
-  let frac = float_of_int !heads /. float_of_int trials in
-  check_bool "fair coin" true (Float.abs (frac -. 0.5) < 0.01)
-
 let test_bernoulli_extremes () =
   let rng = Prng.create 23 in
   for _ = 1 to 100 do
@@ -112,20 +95,6 @@ let test_bernoulli_rate () =
   done;
   let frac = float_of_int !hits /. 50_000. in
   check_bool "rate near 0.3" true (Float.abs (frac -. 0.3) < 0.01)
-
-let test_shuffle_is_permutation () =
-  let rng = Prng.create 31 in
-  let a = Array.init 100 Fun.id in
-  Prng.shuffle rng a;
-  let sorted = Array.copy a in
-  Array.sort Int.compare sorted;
-  Alcotest.(check (array int)) "permutation" (Array.init 100 Fun.id) sorted
-
-let test_shuffle_moves_elements () =
-  let rng = Prng.create 37 in
-  let a = Array.init 100 Fun.id in
-  Prng.shuffle rng a;
-  check_bool "not identity" true (a <> Array.init 100 Fun.id)
 
 let test_swr_distinct () =
   let rng = Prng.create 41 in
@@ -225,12 +194,6 @@ let qcheck_props =
         let rng = Prng.create seed in
         let v = Prng.int rng bound in
         v >= 0 && v < bound);
-    QCheck.Test.make ~name:"int_in always inclusive" ~count:500
-      QCheck.(triple small_int (int_range (-100) 100) (int_range 0 200))
-      (fun (seed, lo, span) ->
-        let rng = Prng.create seed in
-        let v = Prng.int_in rng lo (lo + span) in
-        v >= lo && v <= lo + span);
     QCheck.Test.make ~name:"sample_without_replacement distinct" ~count:200
       QCheck.(pair small_int (int_range 1 50))
       (fun (seed, n) ->
@@ -255,15 +218,11 @@ let suite =
     ("int range", `Quick, test_int_range);
     ("int bound one", `Quick, test_int_bound_one);
     ("int invalid bound", `Quick, test_int_invalid);
-    ("int_in range", `Quick, test_int_in_range);
     ("unit_float range", `Quick, test_unit_float_range);
     ("uniform mean", `Quick, test_uniform_mean);
     ("chi-square uniformity", `Quick, test_int_uniformity_chi_square);
-    ("bool balance", `Quick, test_bool_balance);
     ("bernoulli extremes", `Quick, test_bernoulli_extremes);
     ("bernoulli rate", `Quick, test_bernoulli_rate);
-    ("shuffle permutation", `Quick, test_shuffle_is_permutation);
-    ("shuffle moves", `Quick, test_shuffle_moves_elements);
     ("sample w/o replacement distinct", `Quick, test_swr_distinct);
     ("sample w/o replacement full", `Quick, test_swr_full);
     ("sample paths", `Quick, test_swr_dense_and_sparse_paths);

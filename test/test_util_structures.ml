@@ -84,12 +84,6 @@ let test_heap_peek () =
   check_bool "peek min" true (Heap.peek h = Some (1., "a"));
   check_int "peek does not remove" 2 (Heap.length h)
 
-let test_heap_clear () =
-  let h = Heap.create () in
-  Heap.push h 1. 1;
-  Heap.clear h;
-  check_bool "cleared" true (Heap.is_empty h)
-
 let test_heap_growth () =
   let h = Heap.create () in
   for i = 1000 downto 1 do
@@ -141,10 +135,7 @@ let test_heap_fifo_interleaved_growth () =
     @ List.map (fun v -> (2., v)) [ 2; 5; 8; 11; 14; 17; 20; 23 ]
   in
   check_bool "interleaved waves drain in (key, push-order)" true
-    (List.rev !popped = expected);
-  Heap.clear h;
-  Heap.push h 0.5 99;
-  check_bool "usable after clear" true (Heap.pop h = Some (0.5, 99))
+    (List.rev !popped = expected)
 
 let heap_qcheck =
   [
@@ -249,17 +240,6 @@ let test_bitset_bounds () =
   Alcotest.check_raises "oob" (Invalid_argument "Bitset: index out of range") (fun () ->
       Bitset.add b 10)
 
-let test_bitset_iter_words () =
-  (* 70 bits → 9 store bytes → two 64-bit words, the second zero-padded. *)
-  let b = Bitset.create 70 in
-  List.iter (Bitset.add b) [ 0; 7; 63; 64; 69 ];
-  let words = ref [] in
-  Bitset.iter_words (fun off w -> words := (off, w) :: !words) b;
-  let expected0 = Int64.(logor 1L (logor (shift_left 1L 7) (shift_left 1L 63))) in
-  let expected1 = Int64.(logor 1L (shift_left 1L 5)) in
-  check_bool "two words, LE bit layout, padded tail" true
-    (List.rev !words = [ (0, expected0); (64, expected1) ])
-
 let bitset_qcheck =
   (* Random add/remove/grow schedules, with capacities straddling word and
      byte boundaries, checked against the naive 0..capacity-1 mem scan the
@@ -288,24 +268,6 @@ let bitset_qcheck =
           if Bitset.mem b i then naive := i :: !naive
         done;
         List.rev !via_iter = !naive && Bitset.cardinal b = List.length !naive);
-    QCheck.Test.make ~name:"bitset iter_words agrees with mem" ~count:300 ops_gen
-      (fun spec ->
-        let b = build spec in
-        let cap = Bitset.capacity b in
-        let ok = ref true in
-        let next_off = ref 0 in
-        Bitset.iter_words
-          (fun off w ->
-            if off <> !next_off then ok := false;
-            next_off := off + 64;
-            for j = 0 to 63 do
-              let bit = Int64.logand (Int64.shift_right_logical w j) 1L = 1L in
-              let expect = off + j < cap && Bitset.mem b (off + j) in
-              if bit <> expect then ok := false
-            done)
-          b;
-        (* every store byte was covered *)
-        !ok && !next_off >= cap);
   ]
 
 (* --- Table --- *)
@@ -378,14 +340,12 @@ let suite =
     ("heap ordering", `Quick, test_heap_ordering);
     ("heap empty", `Quick, test_heap_empty);
     ("heap peek", `Quick, test_heap_peek);
-    ("heap clear", `Quick, test_heap_clear);
     ("heap growth", `Quick, test_heap_growth);
     ("heap FIFO across growth boundary", `Quick, test_heap_fifo_interleaved_growth);
     ("bitset basic", `Quick, test_bitset_basic);
     ("bitset iter", `Quick, test_bitset_iter);
     ("bitset clear", `Quick, test_bitset_clear);
     ("bitset bounds", `Quick, test_bitset_bounds);
-    ("bitset iter_words layout", `Quick, test_bitset_iter_words);
     ("table render", `Quick, test_table_render);
     ("table csv", `Quick, test_table_csv);
     ("table fmt", `Quick, test_table_fmt);
